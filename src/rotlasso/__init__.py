@@ -24,7 +24,6 @@ from .designs import (
     BlockSpec,
     CorrelatedGroup,
     RotationKind,
-    PartialRotationParams,
     correlated_block_design,
     counterexample_design,
     partially_rotate,

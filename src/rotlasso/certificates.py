@@ -7,12 +7,14 @@ witness.  Maximization constants (restricted normalized orthogonality,
 restricted isometry deviation) are exact when computed by complete
 enumeration, and lower bounds when sampled.
 
-Computing a restricted eigenvalue exactly is intractable in general.  The
-shipped certificate is a 64-restart projected-gradient upper bound; on small
-instances with at most 3 certified coordinates a brute-force angular grid
-(2 degree resolution, then polished) serves as an independent oracle.
+Computing a restricted eigenvalue exactly is intractable in general.  When
+the certified set covers every column, both variants are the smallest
+eigenvalue of the Gram matrix and are returned exactly.  Otherwise the
+certificate is the best of 64 and more restarts of one batched monotone
+projected-gradient descent over the cone; on small instances with at most 3
+certified coordinates a brute-force angular grid (2 degree resolution, then
+polished) serves as an independent oracle.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -144,14 +146,6 @@ def re_objective_value(X: DesignMatrix, z, S_prime: SupportSet, mode: str = "gam
 # ---------------------------------------------------------------------------
 
 
-def _quad_cols(G_AA, G_AB, G_BB, U, V):
-    f = np.einsum("pm,pm->m", U, G_AA @ U)
-    if V.shape[0]:
-        f = f + 2.0 * np.einsum("pm,pm->m", U, G_AB @ V)
-        f = f + np.einsum("qm,qm->m", V, G_BB @ V)
-    return f
-
-
 def _inner_min(G, B, radii, step, v0=None, tol=1e-9, max_iter=100_000, check_every=25):
     """FISTA with gradient restarts for min_v 2 b^T v + v^T G v, ||v||_1 <= r.
 
@@ -203,147 +197,128 @@ def _inner_min(G, B, radii, step, v0=None, tol=1e-9, max_iter=100_000, check_eve
 
 # ---------------------------------------------------------------------------
 # restricted-eigenvalue solvers
+#
+# Every solver works on one Gram matrix G = (1/n) X^T X whose rows and
+# columns are ordered [cone support | rest]: with p = |cone support|, a vector
+# z splits into its cone block z[:p] and its off-support block z[p:].
 # ---------------------------------------------------------------------------
 
 
-def _sphere_starts(rng, p, m):
-    U = rng.standard_normal((p, m))
-    U /= np.maximum(np.linalg.norm(U, axis=0), 1e-300)
-    return U
+def _quad(G, Z):
+    return np.einsum("dm,dm->m", Z, G @ Z)
 
 
-def _bottom_eigvecs(G, count):
-    if G.shape[0] == 0 or count <= 0:
-        return []
-    vals, vecs = np.linalg.eigh(G)
-    return [vecs[:, i] for i in range(min(count, G.shape[0]))]
+def _step(G):
+    """1 / (2 lambda_max(G)), the inverse Lipschitz constant of z -> 2 G z."""
+    return 1.0 / max(2.0 * float(np.linalg.eigvalsh(G)[-1]), 1e-300)
 
 
-def _gamma_smart_starts(G_AA, G_BB, p, q, L):
-    """Deterministic starts: axis vectors, the flattest on-support direction,
-    and kernel-like off-support directions loaded to the full l1 budget."""
-    starts = []
-    for j in range(min(p, 8)):
-        u = np.zeros(p)
-        u[j] = 1.0
-        starts.append((u, np.zeros(q)))
-    ones = np.ones(p) / math.sqrt(p)
-    umin = _bottom_eigvecs(G_AA, 1)[0]
-    starts.append((ones, np.zeros(q)))
-    starts.append((umin, np.zeros(q)))
-    if q:
-        for w in _bottom_eigvecs(G_BB, 2):
-            l1 = np.abs(w).sum()
-            if l1 <= 1e-300:
-                continue
-            for u in (ones, umin):
-                starts.append((u.copy(), (L * np.abs(u).sum() / l1) * w))
-    return starts
+def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
+    """Monotone projected gradient on z^T G z / ||z_den||^2, batched over columns.
 
+    Each step follows the Rayleigh gradient 2 (G z - rho z_den), projects the
+    off-support block onto the l1 ball of radius L ||z[:p]||_1 and rescales so
+    that ||z_den|| = 1.  A column's step grows by 2% after an accepted step and
+    halves after a rejected one, so no column's objective ever rises.  Start
+    columns with a vanishing denominator are dropped.  Stops once no column's
+    objective fell by a relative ``rtol`` over the last ``window`` iterations.
+    Returns (Z, rho, iterations).
+    """
+    def feasible(Z):
+        Z[p:] = project_l1_columns(Z[p:], L * np.abs(Z[:p]).sum(axis=0))
+        dn = np.linalg.norm(Z[den], axis=0)
+        alive = dn > 1e-300
+        Z /= np.where(alive, dn, 1.0)
+        GZ = G @ Z
+        return Z, GZ, np.where(alive, np.einsum("dm,dm->m", Z, GZ), np.inf)
 
-def _collect_starts(P, Q, L, seed, n_starts, extra_starts, G_AA, G_BB):
-    p, q = len(P), len(Q)
-    rng = seeded_stream(seed if seed is not None else DEFAULT_SOLVER_SEED)
-    pairs = _gamma_smart_starts(G_AA, G_BB, p, q, L)
-    for z in extra_starts:
-        zd = z.to_dense() if isinstance(z, SparseVector) else np.asarray(z, dtype=np.float64)
-        u = zd[P]
-        nu = np.linalg.norm(u)
-        if nu <= 1e-300:
-            continue
-        pairs.append((u / nu, zd[Q] / nu))
-    U_rand = _sphere_starts(rng, p, n_starts)
-    V_rand = np.zeros((q, n_starts))
-    if q:
-        half = n_starts // 2
-        raw = rng.standard_normal((q, n_starts - half))
-        V_rand[:, half:] = raw
-    U = np.concatenate([np.stack([u for u, _ in pairs], axis=1), U_rand], axis=1)
-    V = np.concatenate([np.stack([v for _, v in pairs], axis=1), V_rand], axis=1) \
-        if q else np.zeros((0, U.shape[1]))
-    radii = L * np.abs(U).sum(axis=0)
-    V = project_l1_columns(V, radii)
-    return U, V
-
-
-def _phase1_joint(G_AA, G_AB, G_BB, U, V, L, step0, max_iter=2500, window=60, rtol=1e-12):
-    """Monotone joint projected-gradient descent, batched over restarts."""
-    p, m = U.shape
-    q = V.shape[0]
-    eta = np.full(m, step0)
-    f = _quad_cols(G_AA, G_AB, G_BB, U, V)
-    f_window = f.copy()
+    Z, GZ, rho = feasible(Z)
+    keep = np.isfinite(rho)
+    Z, GZ, rho = Z[:, keep], GZ[:, keep], rho[keep]
+    eta = np.full(rho.size, step0)
+    rho_window = rho.copy()
     it = 0
     while it < max_iter:
-        RU = 2.0 * (G_AA @ U + (G_AB @ V if q else 0.0))
-        U1 = U - eta * RU
-        nu = np.linalg.norm(U1, axis=0)
-        ok_dir = nu > 1e-14
-        U1[:, ~ok_dir] = U[:, ~ok_dir]
-        nu[~ok_dir] = 1.0
-        U1 = U1 / np.maximum(np.linalg.norm(U1, axis=0), 1e-300)
-        radii = L * np.abs(U1).sum(axis=0)
-        if q:
-            RV = 2.0 * (G_AB.T @ U + G_BB @ V)
-            V1 = project_l1_columns(V - eta * RV, radii)
-        else:
-            V1 = V
-        f1 = _quad_cols(G_AA, G_AB, G_BB, U1, V1)
-        accept = f1 <= f + 1e-15
+        grad = 2.0 * GZ
+        grad[den] -= 2.0 * rho * Z[den]
+        Z1, GZ1, rho1 = feasible(Z - eta * grad)
+        accept = rho1 <= rho + 1e-15
         eta = np.where(accept, np.minimum(eta * 1.02, step0 * 64.0), eta * 0.5)
-        U[:, accept] = U1[:, accept]
-        if q:
-            V[:, accept] = V1[:, accept]
-        f = np.where(accept, f1, f)
+        Z = np.where(accept, Z1, Z)
+        GZ = np.where(accept, GZ1, GZ)
+        rho = np.where(accept, rho1, rho)
         it += 1
         if it % window == 0:
-            rel = (f_window - f) / np.maximum(np.abs(f_window), 1e-300)
+            rel = (rho_window - rho) / np.maximum(np.abs(rho_window), 1e-300)
             if np.max(rel) < rtol:
                 break
-            f_window = f.copy()
-    return U, V, f, it
+            rho_window = rho.copy()
+    return Z, rho, it
 
 
-def _polish_decomposed(G_AA, G_AB, G_BB, u, v, L, step0, step_inner, inner_tol,
-                       inner_cap, max_outer=40, joint_iter=6000):
-    """Refine one restart: tight joint projected gradient, one exact inner
-    solve, then a short alternating stage with Armijo steps on the sphere.
+def _starts(G, p, sp, L, seed, n_starts, extra_starts):
+    """Restart columns for the descent, in the ordered coordinates.
+
+    ``sp`` holds the rows of S'.  The deterministic starts are up to 8 axis
+    vectors, the uniform and the flattest direction on S', and each of these
+    three loaded with one of the two flattest off-support directions at the
+    full l1 budget (kernel-like loads that cancel cone mass cheaply).  Then
+    come the caller's starts and ``n_starts`` Gaussian ones.
+    """
+    d = G.shape[0]
+    axes = list(np.eye(d)[sp[:8]])
+    uniform = np.zeros(d)
+    uniform[sp] = 1.0 / math.sqrt(sp.size)
+    flattest = np.zeros(d)
+    flattest[sp] = np.linalg.eigh(G[np.ix_(sp, sp)])[1][:, 0]
+    cols = axes + [uniform, flattest]
+    for w in np.linalg.eigh(G[p:, p:])[1][:, :2].T:
+        for base in (uniform, flattest, axes[0]):
+            z = base.copy()
+            z[p:] = (L * np.abs(base).sum() / np.abs(w).sum()) * w
+            cols.append(z)
+    rng = seeded_stream(seed if seed is not None else DEFAULT_SOLVER_SEED)
+    return np.concatenate([np.stack(cols + list(extra_starts), axis=1),
+                           rng.standard_normal((d, n_starts))], axis=1)
+
+
+def _polish_decomposed(G, p, z, L, step0, step_inner, inner_tol, inner_cap,
+                       max_outer=40, joint_iter=6000):
+    """Refine one restart: tight joint descent, one exact inner solve, then a
+    short alternating stage with Armijo steps on the sphere of the cone block.
 
     The outer gradient accounts for the l1 budget moving with ||u||_1 whenever
     the inner constraint is active.
     """
-    q = v.size
-    U1, V1, _, _ = _phase1_joint(G_AA, G_AB, G_BB, u[:, None].copy(),
-                                 v[:, None].copy(), L, step0,
-                                 max_iter=joint_iter, window=100, rtol=1e-14)
-    u, v = U1[:, 0], V1[:, 0]
+    G_BA, G_BB = G[p:, :p], G[p:, p:]
+    Z, _, _ = _descend(G, z[:, None].copy(), p, slice(None, p), L, step0,
+                       max_iter=joint_iter, window=100, rtol=1e-14)
+    z = Z[:, 0]
     total_inner = 0
     worst_res = 0.0
     inner_ok = True
 
-    def solve_inner(u_vec, warm):
+    def solve_inner(u, warm):
         nonlocal total_inner, worst_res, inner_ok
-        if q == 0:
-            return np.zeros(0), L * np.abs(u_vec).sum()
-        r = L * np.abs(u_vec).sum()
-        b = (G_AB.T @ u_vec)[:, None]
+        r = L * np.abs(u).sum()
         V, its, res, conv = _inner_min(
-            G_BB, b, np.array([r]), step_inner, v0=warm[:, None],
+            G_BB, (G_BA @ u)[:, None], np.array([r]), step_inner, v0=warm[:, None],
             tol=inner_tol, max_iter=inner_cap,
         )
         total_inner += its
         worst_res = max(worst_res, res)
         inner_ok = inner_ok and conv
-        return V[:, 0], r
+        return np.concatenate([u, V[:, 0]]), r
 
-    v, r = solve_inner(u, v)
-    f = float(_quad_cols(G_AA, G_AB, G_BB, u[:, None], v[:, None])[0])
+    z, r = solve_inner(z[:p], z[p:])
+    f = float(z @ G @ z)
     eta = 0.5
     for _ in range(max_outer):
-        grad = 2.0 * (G_AA @ u + (G_AB @ v if q else 0.0))
-        if q and r > 0 and np.abs(v).sum() >= r * (1.0 - 1e-9):
-            gv = 2.0 * (G_AB.T @ u + G_BB @ v)
-            grad = grad + float(gv @ (v / r)) * L * np.sign(u)
+        u, v = z[:p], z[p:]
+        Gz = 2.0 * (G @ z)
+        grad = Gz[:p]
+        if r > 0 and np.abs(v).sum() >= r * (1.0 - 1e-9):
+            grad = grad + float(Gz[p:] @ (v / r)) * L * np.sign(u)
         g_t = grad - float(grad @ u) * u
         gnorm = float(np.linalg.norm(g_t))
         if gnorm <= 1e-12 * (1.0 + abs(f)):
@@ -352,10 +327,10 @@ def _polish_decomposed(G_AA, G_AB, G_BB, u, v, L, step0, step_inner, inner_tol,
         for _ in range(30):
             u_try = u - eta * g_t
             u_try /= np.linalg.norm(u_try)
-            v_try, r_try = solve_inner(u_try, v)
-            f_try = float(_quad_cols(G_AA, G_AB, G_BB, u_try[:, None], v_try[:, None])[0])
+            z_try, r_try = solve_inner(u_try, v)
+            f_try = float(z_try @ G @ z_try)
             if f_try <= f - 1e-4 * eta * gnorm * gnorm:
-                u, v, r, f = u_try, v_try, r_try, f_try
+                z, r, f = z_try, r_try, f_try
                 eta = min(eta * 1.5, 4.0)
                 improved = True
                 break
@@ -364,62 +339,30 @@ def _polish_decomposed(G_AA, G_AB, G_BB, u, v, L, step0, step_inner, inner_tol,
                 break
         if not improved:
             break
-    return u, v, f, total_inner, worst_res, inner_ok
+    return z, f, total_inner, worst_res, inner_ok
 
 
-def _assemble_witness(d, P, Q, u, v):
-    z = np.zeros(d)
-    z[P] = u
-    if len(Q):
-        z[Q] = v
-    return SparseVector.from_dense(z)
-
-
-def _gamma_decomposed(X, S_prime, L, seed, n_starts, extra_starts, inner_tol, inner_cap):
-    n, d = X.n_rows, X.n_cols
-    P = S_prime.array()
-    Q = S_prime.complement().array()
-    A = X.entries[:, P]
-    G_AA = (A.T @ A) / n
-    if len(Q):
-        Bm = X.entries[:, Q]
-        G_AB = (A.T @ Bm) / n
-        G_BB = (Bm.T @ Bm) / n
-        lam_bb = float(np.linalg.eigvalsh(G_BB)[-1])
-        step_inner = 1.0 / max(2.0 * lam_bb, 1e-300)
-    else:
-        G_AB = np.zeros((len(P), 0))
-        G_BB = np.zeros((0, 0))
-        step_inner = 1.0
-    lam_full = float(np.linalg.eigvalsh((X.entries.T @ X.entries) / n)[-1])
-    step0 = 1.0 / max(2.0 * lam_full, 1e-300)
-
-    U, V, f, it1 = _phase1_joint(G_AA, G_AB, G_BB, *_collect_starts(
-        P, Q, L, seed, n_starts, extra_starts, G_AA, G_BB), L, step0)
-
-    # exact inner solve at each restart's final direction
-    radii = L * np.abs(U).sum(axis=0)
-    inner_it = 0
-    if len(Q):
-        V, inner_it, _, _ = _inner_min(G_BB, G_AB.T @ U, radii, step_inner,
-                                       v0=V, tol=max(inner_tol, 1e-7), max_iter=20_000)
-    f = _quad_cols(G_AA, G_AB, G_BB, U, V)
-    spread = float(np.max(f) - np.min(f))
+def _gamma_decomposed(G, p, L, seed, n_starts, extra_starts, inner_tol, inner_cap):
+    """Mode gamma with cone support == S': joint descent from every start, an
+    exact inner solve at each restart's direction, and a polish of the best."""
+    step0, step_inner = _step(G), _step(G[p:, p:])
+    Z, _, it1 = _descend(G, _starts(G, p, np.arange(p), L, seed, n_starts, extra_starts),
+                         p, slice(None, p), L, step0, max_iter=2500, window=60, rtol=1e-12)
+    radii = L * np.abs(Z[:p]).sum(axis=0)
+    Z[p:], inner_it, _, _ = _inner_min(G[p:, p:], G[p:, :p] @ Z[:p], radii, step_inner,
+                                       v0=Z[p:], tol=max(inner_tol, 1e-7), max_iter=20_000)
+    f = _quad(G, Z)
     best = int(np.argmin(f))
-
-    u, v, value, pol_inner, res, inner_ok = _polish_decomposed(
-        G_AA, G_AB, G_BB, U[:, best].copy(),
-        V[:, best].copy() if len(Q) else np.zeros(0),
-        L, step0, step_inner, inner_tol, inner_cap)
-    witness = _assemble_witness(d, P, Q, u, v)
+    z, _, pol_inner, res, inner_ok = _polish_decomposed(
+        G, p, Z[:, best].copy(), L, step0, step_inner, inner_tol, inner_cap)
     report = SolverReport(
         iterations=it1 + inner_it + pol_inner,
-        restarts=U.shape[1],
+        restarts=Z.shape[1],
         residual=res,
         converged=inner_ok,
-        spread=spread,
+        spread=float(np.max(f) - np.min(f)),
     )
-    return witness, report
+    return z, report
 
 
 def _grid_directions(p):
@@ -438,150 +381,48 @@ def _grid_directions(p):
     ])
 
 
-def _gamma_grid_oracle(X, S_prime, L, inner_tol, inner_cap, top_k=8):
-    n, d = X.n_rows, X.n_cols
-    P = S_prime.array()
-    Q = S_prime.complement().array()
-    A = X.entries[:, P]
-    G_AA = (A.T @ A) / n
-    lam_full = float(np.linalg.eigvalsh((X.entries.T @ X.entries) / n)[-1])
-    step0 = 1.0 / max(2.0 * lam_full, 1e-300)
-    U = _grid_directions(len(P))
-    if len(Q):
-        Bm = X.entries[:, Q]
-        G_AB = (A.T @ Bm) / n
-        G_BB = (Bm.T @ Bm) / n
-        lam_bb = float(np.linalg.eigvalsh(G_BB)[-1])
-        step_inner = 1.0 / max(2.0 * lam_bb, 1e-300)
-        radii = L * np.abs(U).sum(axis=0)
-        # coarse sweep to locate the global basin, exact polish afterwards
-        V, it_sweep, _, _ = _inner_min(G_BB, G_AB.T @ U, radii, step_inner,
-                                       tol=1e-5, max_iter=5_000)
-    else:
-        G_AB = np.zeros((len(P), 0))
-        G_BB = np.zeros((0, 0))
-        step_inner = 1.0
-        V = np.zeros((0, U.shape[1]))
-        it_sweep = 0
-    f = _quad_cols(G_AA, G_AB, G_BB, U, V)
-    order = np.argsort(f, kind="stable")[:top_k]
+def _gamma_grid_oracle(G, p, L, inner_tol, inner_cap, top_k=8):
+    """Mode gamma on a 2 degree grid of cone directions: a coarse inner sweep
+    to locate the global basin, a light polish to rank the leading grid
+    candidates, and a full polish of the winner."""
+    step0, step_inner = _step(G), _step(G[p:, p:])
+    U = _grid_directions(p)
+    V, total, _, _ = _inner_min(G[p:, p:], G[p:, :p] @ U, L * np.abs(U).sum(axis=0),
+                                step_inner, tol=1e-5, max_iter=5_000)
+    Z = np.concatenate([U, V])
     best_val = math.inf
     best = None
-    total = it_sweep
-    # light polish to rank the leading grid candidates, full polish on the winner
-    for idx in order:
-        u, v, val, its, _, _ = _polish_decomposed(
-            G_AA, G_AB, G_BB, U[:, idx].copy(),
-            V[:, idx].copy() if len(Q) else np.zeros(0),
-            L, step0, step_inner, max(inner_tol, 1e-7), 20_000,
+    for idx in np.argsort(_quad(G, Z), kind="stable")[:top_k]:
+        z, val, its, _, _ = _polish_decomposed(
+            G, p, Z[:, idx].copy(), L, step0, step_inner, max(inner_tol, 1e-7), 20_000,
             max_outer=10, joint_iter=2000)
         total += its
         if val < best_val:
             best_val = val
-            best = (u, v)
-    u, v, best_val, its, worst_res, ok = _polish_decomposed(
-        G_AA, G_AB, G_BB, best[0], best[1], L, step0, step_inner, inner_tol, inner_cap)
-    total += its
-    witness = _assemble_witness(d, P, Q, u, v)
-    report = SolverReport(iterations=total, restarts=U.shape[1],
+            best = z
+    z, _, its, worst_res, ok = _polish_decomposed(
+        G, p, best, L, step0, step_inner, inner_tol, inner_cap)
+    report = SolverReport(iterations=total + its, restarts=U.shape[1],
                           residual=worst_res, converged=ok, spread=None)
-    return witness, report
+    return z, report
 
 
-def _re_joint(X, cone, S_prime, mode, seed, n_starts, extra_starts,
-              max_iter=4000, polish_iter=4000):
-    """Projected gradient on the cone with per-restart backtracking.
-
-    Used for the gamma_prime objective and for gamma with a cone support
-    strictly larger than the certified set.  Iterates stay feasible: after
-    each step the off-support block is projected onto the l1 ball whose
-    radius the on-support block currently allows, and the vector is rescaled
-    so the denominator block has unit norm.
-    """
-    n, d = X.n_rows, X.n_cols
-    G = (X.entries.T @ X.entries) / n
-    Sidx = cone.S.array()
-    off = cone.S.complement().array()
-    den = S_prime.array() if mode == "gamma" else np.arange(d)
-    den_mask = np.zeros(d)
-    den_mask[den] = 1.0
-    L = cone.L
-    lam = float(np.linalg.eigvalsh(G)[-1])
-    step0 = 1.0 / max(2.0 * lam, 1e-300)
-
-    def feasible(Z):
-        radii = L * np.abs(Z[Sidx]).sum(axis=0)
-        if len(off):
-            Z[off] = project_l1_columns(Z[off], radii)
-        dn = np.linalg.norm(Z[den], axis=0)
-        alive = dn > 1e-300
-        Z[:, alive] /= dn[alive]
-        return Z, alive
-
-    rng = seeded_stream(seed if seed is not None else DEFAULT_SOLVER_SEED)
-    cols = []
-    for j in S_prime.indices[:8]:
-        e = np.zeros(d)
-        e[j] = 1.0
-        cols.append(e)
-    ones = np.zeros(d)
-    ones[S_prime.array()] = 1.0 / math.sqrt(S_prime.size)
-    cols.append(ones)
-    Gp = G[np.ix_(S_prime.array(), S_prime.array())]
-    for w in _bottom_eigvecs(Gp, 1):
-        e = np.zeros(d)
-        e[S_prime.array()] = w
-        cols.append(e)
-    if len(off):
-        G_off = G[np.ix_(off, off)]
-        for w in _bottom_eigvecs(G_off, 2):
-            l1 = np.abs(w).sum()
-            if l1 <= 1e-300:
-                continue
-            for base in (ones, cols[0]):
-                z = base.copy()
-                z[off] = (L * np.abs(z[Sidx]).sum() / l1) * w
-                cols.append(z)
-    for z in extra_starts:
-        zd = z.to_dense() if isinstance(z, SparseVector) else np.asarray(z, dtype=np.float64)
-        cols.append(zd.copy())
-    Z = np.concatenate([np.stack(cols, axis=1), rng.standard_normal((d, n_starts))], axis=1)
-    Z, alive = feasible(Z)
-    m = Z.shape[1]
-    eta = np.full(m, step0)
-    GZ = G @ Z
-    rho = np.einsum("dm,dm->m", Z, GZ)
-    rho[~alive] = np.inf
-    it = 0
-    window = 80
-    rho_window = rho.copy()
-    total = max_iter + polish_iter
-    while it < total:
-        grad = 2.0 * (GZ - rho * (Z * den_mask[:, None]))
-        Z1, alive1 = feasible(Z - eta * grad)
-        GZ1 = G @ Z1
-        rho1 = np.einsum("dm,dm->m", Z1, GZ1)
-        rho1[~alive1] = np.inf
-        accept = rho1 <= rho + 1e-15
-        eta = np.where(accept, np.minimum(eta * 1.02, step0 * 64.0), eta * 0.5)
-        Z[:, accept] = Z1[:, accept]
-        GZ[:, accept] = GZ1[:, accept]
-        rho = np.where(accept, rho1, rho)
-        it += 1
-        if it % window == 0:
-            rel = (rho_window - rho) / np.maximum(np.abs(rho_window), 1e-300)
-            if np.max(rel) < 1e-13:
-                break
-            rho_window = rho.copy()
-    spread = float(np.max(rho[np.isfinite(rho)]) - np.min(rho))
+def _re_joint(G, p, sp, den, L, seed, n_starts, extra_starts, max_iter=8000):
+    """Joint descent over the whole cone; used for mode gamma_prime (``den``
+    every row) and for mode gamma with a cone support strictly larger than
+    S' (``den`` = ``sp``, the rows of S')."""
+    Z, rho, it = _descend(G, _starts(G, p, sp, L, seed, n_starts, extra_starts),
+                          p, den, L, _step(G), max_iter=max_iter, window=80, rtol=1e-13)
     best = int(np.argmin(rho))
     z = Z[:, best].copy()
-    grad = 2.0 * (G @ z - rho[best] * (z * den_mask))
+    grad = 2.0 * (G @ z)
+    grad[den] -= 2.0 * rho[best] * z[den]
     g_t = grad - float(grad @ z) * z
-    report = SolverReport(iterations=it, restarts=m,
+    report = SolverReport(iterations=it, restarts=Z.shape[1],
                           residual=float(np.linalg.norm(g_t)),
-                          converged=it < total, spread=spread)
-    return SparseVector.from_dense(z), report
+                          converged=it < max_iter,
+                          spread=float(np.max(rho) - np.min(rho)))
+    return z, report
 
 
 def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
@@ -595,13 +436,17 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     ``S_prime`` itself) with the denominator taken on ``S_prime``:
     ``||z_{S'}||^2`` in mode ``gamma``, ``||z||^2`` in mode ``gamma_prime``.
 
-    ``multistart`` decomposes mode ``gamma`` into an outer search over unit
-    on-support directions and an exact convex inner minimization over the
-    off-support l1 ball; mode ``gamma_prime`` runs projected gradient over
-    full cone directions with post-hoc normalization (seeded with the
-    gamma-mode witness, which is always feasible).  ``grid_oracle`` replaces
-    the outer search by a 2 degree angular grid and supports mode ``gamma``
-    with at most 3 certified coordinates.
+    When ``S_prime`` covers every column both modes are the smallest
+    eigenvalue of the Gram matrix, returned exactly with its eigenvector
+    (method ``exact_svd``).  Otherwise every path runs the same monotone
+    projected-gradient descent from the same kind of restarts.
+    ``multistart`` in mode ``gamma`` with cone support ``S_prime`` adds an
+    exact convex inner minimization over the off-support l1 ball and a
+    polish; every other case descends over whole cone vectors, and mode
+    ``gamma_prime`` with cone support ``S_prime`` also starts from the
+    gamma-mode witness (always feasible, so gamma' <= gamma holds).
+    ``grid_oracle`` replaces the restarts by a 2 degree angular grid and
+    supports mode ``gamma`` with at most 3 certified coordinates.
     """
     if mode not in ("gamma", "gamma_prime"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -614,30 +459,43 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     if not cone.S.contains(S_prime):
         raise InvalidSupportError("S_prime must be contained in the cone support")
     same = cone.S.indices == S_prime.indices
-
     if method == "grid_oracle":
         if mode != "gamma" or not same:
             raise ValueError("grid_oracle supports mode gamma with cone support == S_prime")
         if S_prime.size > 3:
             raise ValueError("grid_oracle supports at most 3 certified coordinates")
-        witness, report = _gamma_grid_oracle(X, S_prime, cone.L, inner_tol, max_inner_iter)
-    elif mode == "gamma" and same:
-        witness, report = _gamma_decomposed(X, S_prime, cone.L, seed, n_starts,
-                                            extra_starts, inner_tol, max_inner_iter)
-    else:
-        starts = list(extra_starts)
-        if mode == "gamma_prime" and same:
-            # any gamma-mode witness is feasible here and evaluates to at most
-            # the gamma value, which keeps the certified ordering consistent
-            pre, _ = _gamma_decomposed(X, S_prime, cone.L, seed, max(n_starts // 2, 8),
-                                       extra_starts, max(inner_tol, 1e-7), 20_000)
-            starts.append(pre)
-        witness, report = _re_joint(X, cone, S_prime, mode, seed, n_starts, starts)
-
-    value = re_objective_value(X, witness, S_prime, mode)
     kind = KIND_RE_GAMMA if mode == "gamma" else KIND_RE_GAMMA_PRIME
-    return Certificate(kind=kind, value=value, witness=witness,
-                       method=method, solver_report=report)
+
+    if S_prime.size == X.n_cols:
+        exact = lambda_min_restricted(X, S_prime)
+        return Certificate(kind=kind, value=re_objective_value(X, exact.witness, S_prime, mode),
+                           witness=exact.witness, method=exact.method,
+                           solver_report=exact.solver_report)
+
+    order = np.concatenate([cone.S.array(), cone.S.complement().array()])
+    E = X.entries[:, order]
+    G = (E.T @ E) / X.n_rows
+    p = cone.S.size
+    starts = [(z.to_dense() if isinstance(z, SparseVector) else np.asarray(z, float))[order]
+              for z in extra_starts]
+    if method == "grid_oracle":
+        z, report = _gamma_grid_oracle(G, p, cone.L, inner_tol, max_inner_iter)
+    elif mode == "gamma" and same:
+        z, report = _gamma_decomposed(G, p, cone.L, seed, n_starts, starts,
+                                      inner_tol, max_inner_iter)
+    else:
+        if mode == "gamma_prime" and same:
+            pre, _ = _gamma_decomposed(G, p, cone.L, seed, max(n_starts // 2, 8), starts,
+                                       max(inner_tol, 1e-7), 20_000)
+            starts.append(pre)
+        sp = np.searchsorted(cone.S.array(), S_prime.array())
+        z, report = _re_joint(G, p, sp, sp if mode == "gamma" else slice(None), cone.L,
+                              seed, n_starts, starts)
+    dense = np.zeros(X.n_cols)
+    dense[order] = z
+    witness = SparseVector.from_dense(dense)
+    return Certificate(kind=kind, value=re_objective_value(X, witness, S_prime, mode),
+                       witness=witness, method=method, solver_report=report)
 
 
 def lambda_min_restricted(X: DesignMatrix, S: SupportSet) -> Certificate:
@@ -710,8 +568,13 @@ def _masked_bases(E, supports, chunk=2048):
     return out
 
 
-def _pair_values_max(Ua, Ub, chunk_pairs=2_000_000):
-    """Max (and first argmax) of sigma_max(Ua_i^T Ub_j) over all pairs (i, j)."""
+def _pair_values_max(Ua, Ub, Ia=None, Ib=None, chunk_pairs=200_000):
+    """Max (and first argmax) of sigma_max(Ua_i^T Ub_j) over pairs (i, j).
+
+    With 0/1 support indicators ``Ia`` and ``Ib`` (one row per basis) only
+    pairs of disjoint supports count, and only their singular values are
+    computed.  Pairs are handled in chunks of about ``chunk_pairs``.
+    """
     Na, _, s = Ua.shape
     Nb = Ub.shape[0]
     best = -1.0
@@ -720,13 +583,15 @@ def _pair_values_max(Ua, Ub, chunk_pairs=2_000_000):
     for lo in range(0, Na, rows):
         hi = min(lo + rows, Na)
         C = np.einsum("ans,bnt->abst", Ua[lo:hi], Ub)
-        sv = np.linalg.svd(C.reshape(-1, s, s), compute_uv=False)[:, 0]
-        sv = sv.reshape(hi - lo, Nb)
-        idx = np.unravel_index(int(np.argmax(sv)), sv.shape)
-        val = float(sv[idx])
-        if val > best:
-            best = val
-            best_pair = (lo + int(idx[0]), int(idx[1]))
+        keep = np.ones((hi - lo, Nb), dtype=bool) if Ia is None else Ia[lo:hi] @ Ib.T == 0.0
+        ia, ib = np.nonzero(keep)
+        if ia.size == 0:
+            continue
+        sv = np.linalg.svd(C[ia, ib], compute_uv=False)[:, 0]
+        j = int(np.argmax(sv))
+        if float(sv[j]) > best:
+            best = float(sv[j])
+            best_pair = (lo + int(ia[j]), int(ib[j]))
     return min(max(best, 0.0), 1.0), best_pair
 
 
@@ -785,6 +650,24 @@ def rno_constant(X: DesignMatrix, S: SupportSet, s: int,
         solver_report=SolverReport(iterations=evaluated, restarts=1,
                                    residual=0.0, complete=complete),
     )
+
+
+def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, tuple]:
+    """Exact max normalized span correlation over all disjoint support pairs of size s.
+
+    Every such pair is admissible for some boundary set (take S equal to the
+    first support), so this equals the worst orthogonality constant over the
+    whole family of boundary sets of size at least s.  Returns the value and
+    the two supports that attain it.
+    """
+    d = X.n_cols
+    supports = np.array(list(itertools.combinations(range(d), s)), dtype=np.intp)
+    indicators = np.zeros((supports.shape[0], d))
+    np.put_along_axis(indicators, supports, 1.0, axis=1)
+    bases = _masked_bases(X.entries, supports)
+    value, (i, j) = _pair_values_max(bases, bases, indicators, indicators)
+    return (value, tuple(int(c) for c in supports[i]),
+            tuple(int(c) for c in supports[j]))
 
 
 def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,

@@ -33,11 +33,12 @@ from .core import (
     write_design,
 )
 from .designs import (
+    ROTATIONS,
     BlockSpec,
-    RotationKind,
     correlated_block_design,
     counterexample_design,
     partially_rotate,
+    rank_one_design,
     rotated_adversary_design,
     semirandom_gaussian_design,
 )
@@ -57,13 +58,6 @@ from .lasso import (
     synth_response,
 )
 from .sparsify import maurey_sparsify
-
-_ROTATIONS = {
-    "haar": RotationKind.haar,
-    "gaussian": RotationKind.gaussian,
-    "rademacher": RotationKind.rademacher,
-}
-
 
 def _seed_spec(value: int) -> SeedSpec:
     return SeedSpec(int(value))
@@ -107,7 +101,7 @@ def _gaussian_base(n, d, seed):
 
 def _cmd_gen(args) -> int:
     seed = _seed_spec(args.seed)
-    kind = _ROTATIONS[args.rotation]()
+    kind = ROTATIONS[args.rotation]()
     n, d, k = args.n, args.d, args.k
     S = SupportSet(d, tuple(range(k))) if k else SupportSet(d)
     if args.base:
@@ -121,10 +115,7 @@ def _cmd_gen(args) -> int:
         X = partially_rotate(X, S, kind, seed.substream(1))
     elif args.kind == "semirandom":
         if base is None:
-            rng = seeded_stream(seed.substream(0))
-            rep = rng.standard_normal(n)
-            rep *= math.sqrt(n) / np.linalg.norm(rep)
-            base = DesignMatrix(np.tile(rep[:, None], (1, d)), normalized=True)
+            base = rank_one_design(n, d, seed.substream(0))
         X = semirandom_gaussian_design(base, S, seed.substream(1))
     elif args.kind == "adversary":
         X0 = base if base is not None else _gaussian_base(n, d, seed.substream(0))
@@ -168,7 +159,7 @@ def _cmd_cert(args) -> int:
         payload["rescaled_by"] = f"1/sqrt({X.n_rows})"
     else:  # rot-check
         S = _load_support(args.support, X.n_cols)
-        kind = _ROTATIONS[args.rotation]()
+        kind = ROTATIONS[args.rotation]()
 
         def regen(sd):
             return partially_rotate(X, S, kind, sd)
@@ -268,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--k", type=int, default=0, help="support size (first k columns)")
-    g.add_argument("--rotation", choices=list(_ROTATIONS), default="haar")
+    g.add_argument("--rotation", choices=list(ROTATIONS), default="haar")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--base", help="optional existing design to start from")
@@ -288,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sample-pairs", type=int, default=None,
                    help="sampled lower bound when enumeration exceeds the cap")
     c.add_argument("--cone-slack", type=float, default=1.0, help="cone parameter L")
-    c.add_argument("--rotation", choices=list(_ROTATIONS), default="haar")
+    c.add_argument("--rotation", choices=list(ROTATIONS), default="haar")
     c.add_argument("--epsilon", type=float, default=0.5, help="rot-check threshold")
     c.add_argument("--trials", type=int, default=1000, help="rot-check trials")
     c.add_argument("--seed", type=int, default=0)

@@ -56,18 +56,12 @@ class RotationKind:
         return cls(RADEMACHER_IID, sigma)
 
 
-@dataclass(frozen=True)
-class PartialRotationParams:
-    """(epsilon, delta) parameters of the partial-rotation tail bound."""
-
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
+# rotation kinds by the names the CLI and the experiment grids use
+ROTATIONS = {
+    "haar": RotationKind.haar,
+    "gaussian": RotationKind.gaussian,
+    "rademacher": RotationKind.rademacher,
+}
 
 
 def sample_rotation(kind: RotationKind, n: int, seed: SeedSpec) -> np.ndarray:
@@ -119,6 +113,14 @@ def partially_rotate(X: DesignMatrix, S: SupportSet, kind: RotationKind,
         R = sample_rotation(kind, X.n_rows, seed)
         out[:, comp] = _rescale_to_sqrt_n(R @ X.entries[:, comp], X.n_rows)
     return DesignMatrix(out, normalized=True)
+
+
+def rank_one_design(n: int, d: int, seed: SeedSpec) -> DesignMatrix:
+    """n x d normalized design whose columns all repeat one random direction."""
+    rng = seeded_stream(seed)
+    rep = rng.standard_normal(n)
+    rep *= math.sqrt(n) / np.linalg.norm(rep)
+    return DesignMatrix(np.tile(rep[:, None], (1, d)), normalized=True)
 
 
 def semirandom_gaussian_design(X: DesignMatrix, support: SupportSet,

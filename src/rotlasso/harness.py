@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .certificates import (
     ConeSpec,
-    _masked_bases,
+    max_rno_over_disjoint_pairs,
     partial_rotation_failure_rate,
     re_constant,
     re_objective_value,
@@ -43,11 +43,12 @@ from .core import (
     stream_id_for_label,
 )
 from .designs import (
+    ROTATIONS,
     BlockSpec,
-    RotationKind,
     correlated_block_design,
     counterexample_design,
     partially_rotate,
+    rank_one_design,
     semirandom_gaussian_design,
 )
 from .lasso import lasso_constrained, prediction_error, synth_response
@@ -97,6 +98,13 @@ METRIC_COLS = {
     "sparsify-bound": ("l1_beta", "bound", "error", "attempts"),
     "rot-check": ("mc_trials", "exceedances", "rate"),
 }
+# grid keys a trial reads besides its parameter columns
+GRID_KNOBS = {
+    "thm-main": ("rho", "groups", "design"),
+    "lasso-rate": ("rho", "groups", "design"),
+    "rno-whp": ("rho", "groups", "design"),
+    "rot-check": ("mc_trials",),
+}
 
 
 def columns_for(name: str) -> tuple[str, ...]:
@@ -121,7 +129,12 @@ class ExperimentSpec:
         object.__setattr__(self, "grid", tuple(dict(g) for g in self.grid))
         if not self.grid:
             raise ValueError("grid must contain at least one point")
+        allowed = sorted(set(PARAM_COLS[self.name]) | set(GRID_KNOBS.get(self.name, ())))
         for g in self.grid:
+            unknown = sorted(set(g) - set(allowed))
+            if unknown:
+                raise ValueError(f"unknown grid key(s) {unknown} for {self.name}; "
+                                 f"allowed keys: {allowed}")
             n, d, k = g.get("n", 1), g.get("d", 1), g.get("k", 1)
             if min(n, d, k) < 1 or k > d:
                 raise ValueError(f"inconsistent grid point {g}")
@@ -140,7 +153,6 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentRow:
-    experiment: str
     grid_index: int
     trial: int
     values: dict
@@ -153,23 +165,13 @@ def _trial_seed(spec: ExperimentSpec, gi: int, trial: int) -> SeedSpec:
     return root.substream(gi, trial)
 
 
-_ROTATIONS = {
-    "haar": RotationKind.haar,
-    "gaussian": RotationKind.gaussian,
-    "rademacher": RotationKind.rademacher,
-}
-
-
 def _adversarial_design(n, d, S, g, seed):
     """Model-style design: planted Gaussian support, correlated off-support block."""
     rho = float(g.get("rho", 0.0))
     groups = int(g.get("groups", 1))
     blocks = BlockSpec.single_group(S, rho) if groups == 1 else BlockSpec.split(S, groups, rho)
     if g.get("design", "correlated") == "semirandom":
-        rng = seeded_stream(seed.substream(7))
-        rep = rng.standard_normal(n)
-        rep *= math.sqrt(n) / np.linalg.norm(rep)
-        base = DesignMatrix(np.tile(rep[:, None], (1, d)), normalized=True)
+        base = rank_one_design(n, d, seed.substream(7))
         return semirandom_gaussian_design(base, S, seed.substream(8))
     return correlated_block_design(n, d, S, blocks, seed)
 
@@ -238,7 +240,7 @@ def _trial_rno_whp(spec, gi, trial):
     else:
         X = _adversarial_design(n, d, S, g, seed.substream(0))
     if rotation != "none":
-        X = partially_rotate(X, S, _ROTATIONS[rotation](), seed.substream(1))
+        X = partially_rotate(X, S, ROTATIONS[rotation](), seed.substream(1))
     eps = rno_constant(X, S, s).value
     cert_x = re_constant(X, ConeSpec(S), S, mode="gamma", seed=seed.substream(2))
     XS = restrict_columns(X, S)
@@ -254,28 +256,6 @@ def _trial_rno_whp(spec, gi, trial):
     return {"n": n, "d": d, "k": k, "s": s, "rotation": rotation, "base": base_kind,
             "epsilon": eps_target, "rno_eps": eps, "gamma_xs": cert_xs.value,
             "gamma_x": cert_x.value, "ratio": ratio, "c_min": c_min, **holds}, passed
-
-
-def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, tuple]:
-    """Exact max normalized span correlation over all disjoint support pairs of size s.
-
-    Every such pair is admissible for some boundary set (take S equal to the
-    first support), so this equals the worst orthogonality constant over the
-    whole family of boundary sets of size at least s.
-    """
-    import itertools
-
-    d = X.n_cols
-    supports = np.array(list(itertools.combinations(range(d), s)), dtype=np.intp)
-    bases = _masked_bases(X.entries, supports)
-    N = supports.shape[0]
-    C = np.einsum("ans,bnt->abst", bases, bases)
-    sv = np.linalg.svd(C.reshape(N * N, s, s), compute_uv=False)[:, 0].reshape(N, N)
-    sets = [frozenset(map(int, sup)) for sup in supports]
-    disjoint = np.array([[not (sa & sb) for sb in sets] for sa in sets])
-    sv[~disjoint] = -1.0
-    i, j = np.unravel_index(int(np.argmax(sv)), sv.shape)
-    return float(min(max(sv[i, j], 0.0), 1.0)), tuple(supports[i]), tuple(supports[j])
 
 
 def _trial_rip_rno(spec, gi, trial):
@@ -342,7 +322,7 @@ def _trial_rot_check(spec, gi, trial):
     rng = seeded_stream(seed.substream(0))
     X = normalize_columns(DesignMatrix(rng.standard_normal((n, d))))
     S = SupportSet(d, tuple(range(k)))
-    kind = _ROTATIONS[rotation]()
+    kind = ROTATIONS[rotation]()
 
     def regen(sd):
         return partially_rotate(X, S, kind, sd)
@@ -383,7 +363,7 @@ def _run_task(args):
     t0 = time.perf_counter()
     values, passed = _TRIAL_FUNCS[spec.name](spec, gi, trial)
     values["trial"] = trial
-    return ExperimentRow(spec.name, gi, trial, values, passed,
+    return ExperimentRow(gi, trial, values, passed,
                          wall_time=time.perf_counter() - t0)
 
 
@@ -397,25 +377,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ExperimentRow
         rows = [_run_task(t) for t in tasks]
     rows.sort(key=lambda r: (r.grid_index, r.trial))
     return rows
-
-
-def _named_runner(name):
-    def run(spec: ExperimentSpec, workers: int = 1) -> list[ExperimentRow]:
-        if spec.name != name:
-            raise ValueError(f"spec names {spec.name!r}, expected {name!r}")
-        return run_experiment(spec, workers=workers)
-    run.__name__ = f"run_{name.replace('-', '_')}"
-    run.__doc__ = f"Run the {name} experiment over its grid; see run_experiment."
-    return run
-
-
-run_thm_main = _named_runner("thm-main")
-run_lasso_rate = _named_runner("lasso-rate")
-run_rno_whp = _named_runner("rno-whp")
-run_rip_rno = _named_runner("rip-rno")
-run_counterexample = _named_runner("counterexample")
-run_sparsify_bound = _named_runner("sparsify-bound")
-run_rot_check = _named_runner("rot-check")
 
 
 def _format_cell(v) -> str:

@@ -72,8 +72,7 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     return project_l1(np.asarray(v, dtype=np.float64), radius)
 
 
-def lasso_constrained(instance: RegressionInstance, radius: float,
-                      step_rule: str = "lipschitz", tol: float = 1e-8,
+def lasso_constrained(instance: RegressionInstance, radius: float, tol: float = 1e-8,
                       max_iter: int = 200_000) -> LassoSolution:
     """Projected gradient descent for the l1-constrained least squares problem.
 
@@ -84,8 +83,6 @@ def lasso_constrained(instance: RegressionInstance, radius: float,
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if step_rule not in ("lipschitz", "backtracking"):
-        raise ValueError(f"unknown step_rule {step_rule!r}")
     X = instance.X.entries
     y = instance.y
     if radius == 0.0:
@@ -104,17 +101,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float,
     it = 0
     while it < max_iter:
         grad_half = X.T @ r
-        if step_rule == "lipschitz":
-            b_new = project_l1(b - step * grad_half, radius)
-        else:
-            # halve from an optimistic step until the objective does not increase
-            trial = 4.0 * step
-            while True:
-                b_new = project_l1(b - trial * grad_half, radius)
-                r_try = X @ b_new - y
-                if float(r_try @ r_try) <= trace[-1] + 1e-15 or trial < 1e-4 * step:
-                    break
-                trial *= 0.5
+        b_new = project_l1(b - step * grad_half, radius)
         r = X @ b_new - y
         res = float(np.linalg.norm(b_new - b))
         b = b_new

@@ -124,9 +124,28 @@ class TestReConstant:
         for seed in range(4):
             XS = gaussian_design(20, 3, seed=seed)
             S = SupportSet(3, (0, 1, 2))
-            lam = lambda_min_restricted(XS, S).value
-            g = re_constant(XS, ConeSpec(S), S, mode="gamma").value
-            assert abs(lam - g) <= 1e-6
+            lam = float(np.linalg.eigvalsh(XS.entries.T @ XS.entries / 20)[0])
+            assert abs(lambda_min_restricted(XS, S).value - lam) <= 1e-12
+            for mode in ("gamma", "gamma_prime"):
+                cert = re_constant(XS, ConeSpec(S), S, mode=mode)
+                assert abs(cert.value - lam) <= 1e-12
+                assert cert.method == "exact_svd"
+                z = cert.witness.to_dense()
+                assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
+                assert abs(re_objective_value(XS, z, S, mode) - cert.value) <= 1e-15
+
+    def test_full_cone_around_a_smaller_denominator(self):
+        # no off-support block: gamma is the smallest eigenvalue of the Schur
+        # complement of the rest in G, gamma' the smallest eigenvalue of G
+        X = gaussian_design(12, 4, seed=3)
+        G = X.entries.T @ X.entries / 12
+        A, B, C = G[:2, :2], G[:2, 2:], G[2:, 2:]
+        schur = float(np.linalg.eigvalsh(A - B @ np.linalg.solve(C, B.T))[0])
+        cone = ConeSpec(SupportSet(4, (0, 1, 2, 3)))
+        Sp = SupportSet(4, (0, 1))
+        assert re_constant(X, cone, Sp, mode="gamma").value == pytest.approx(schur, abs=1e-9)
+        assert re_constant(X, cone, Sp, mode="gamma_prime").value == pytest.approx(
+            float(np.linalg.eigvalsh(G)[0]), abs=1e-9)
 
     def test_nonconvergence_is_flagged_not_raised(self):
         X = gaussian_design(10, 8, seed=7)

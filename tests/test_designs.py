@@ -9,7 +9,6 @@ from rotlasso import (
     CorrelatedGroup,
     DesignMatrix,
     RotationKind,
-    PartialRotationParams,
     SeedSpec,
     SupportSet,
     correlated_block_design,
@@ -64,15 +63,6 @@ class TestSampleRotation:
             RotationKind("hadamard")
         with pytest.raises(ValueError):
             RotationKind.gaussian(sigma=0.0)
-
-
-class TestPartialRotationParams:
-    def test_validation(self):
-        PartialRotationParams(0.01, 0.5)
-        with pytest.raises(ValueError):
-            PartialRotationParams(0.0, 0.5)
-        with pytest.raises(ValueError):
-            PartialRotationParams(0.5, 0.0)
 
 
 class TestPartiallyRotate:

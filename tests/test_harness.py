@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from rotlasso.harness import (
     emit_results,
     hard_experiments_pass,
     max_rno_over_disjoint_pairs,
-    run_counterexample,
     run_experiment,
 )
 
@@ -40,6 +41,26 @@ class TestExperimentSpec:
         spec = default_spec("rip-rno")
         back = ExperimentSpec.from_json_dict(spec.to_json_dict())
         assert back == spec
+
+    @pytest.mark.parametrize("name, point", [
+        ("lasso-rate", {"n": 100, "d": 20, "k": 2, "sigm": 5.0}),
+        ("rot-check", {"n": 100, "d": 10, "k": 3, "rotation": "haar", "epsilon": 0.2,
+                       "mc_trial": 50}),
+        ("counterexample", {"k": 4, "n": 100, "d": 12, "rho": 0.1}),
+    ])
+    def test_unknown_grid_key(self, name, point):
+        with pytest.raises(ValueError, match="allowed keys"):
+            ExperimentSpec(name=name, grid=(point,), trials=1, master_seed=0)
+
+    def test_benchmark_grids_validate(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+        loader = importlib.util.spec_from_file_location("bench_run", path)
+        bench_run = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(bench_run)
+        for experiments in bench_run.WORKLOADS.values():
+            for name, cfg in experiments:
+                ExperimentSpec(name=name, grid=tuple(cfg["grid"]), trials=cfg["trials"],
+                               master_seed=0)
 
 
 class TestThmMain:
@@ -146,7 +167,7 @@ class TestRipRno:
 class TestCounterexample:
     def test_default_grid(self):
         spec = default_spec("counterexample")
-        rows = run_counterexample(spec)
+        rows = run_experiment(spec)
         for r in rows:
             k = r.values["k"]
             assert r.values["witness_ratio"] == pytest.approx(k / (k + k * k / 2), rel=1e-12)

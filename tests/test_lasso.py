@@ -178,14 +178,6 @@ class TestLassoConstrained:
         grid = lasso_grid_oracle(X.entries, inst.y, sol.radius, stages=14)
         assert abs(sol.objective - grid) <= 1e-5 * max(1.0, grid)
 
-    def test_backtracking_step_rule(self):
-        X = gaussian_design(15, 5, seed=21)
-        beta = SparseVector(5, ((1, 1.5),))
-        inst = synth_response(X, beta, 0.4, SeedSpec(9))
-        a = lasso_constrained(inst, 1.5, step_rule="lipschitz")
-        b = lasso_constrained(inst, 1.5, step_rule="backtracking")
-        assert abs(a.objective - b.objective) <= 1e-6 * max(1.0, a.objective)
-
 
 class TestErrorMetrics:
     def test_prediction_error_identity(self):

@@ -213,26 +213,29 @@ def _step(G):
     return 1.0 / max(2.0 * float(np.linalg.eigvalsh(G)[-1]), 1e-300)
 
 
+def _feasible(G, Z, p, den, L):
+    """Project the off-support block of each column onto the l1 ball of radius
+    L ||z[:p]||_1 and rescale so that ||z_den|| = 1, in place.  Returns
+    (Z, G Z, rho) with rho = inf where the denominator vanishes."""
+    Z[p:] = project_l1_columns(Z[p:], L * np.abs(Z[:p]).sum(axis=0))
+    dn = np.linalg.norm(Z[den], axis=0)
+    alive = dn > 1e-300
+    Z /= np.where(alive, dn, 1.0)
+    GZ = G @ Z
+    return Z, GZ, np.where(alive, np.einsum("dm,dm->m", Z, GZ), np.inf)
+
+
 def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
     """Monotone projected gradient on z^T G z / ||z_den||^2, batched over columns.
 
-    Each step follows the Rayleigh gradient 2 (G z - rho z_den), projects the
-    off-support block onto the l1 ball of radius L ||z[:p]||_1 and rescales so
-    that ||z_den|| = 1.  A column's step grows by 2% after an accepted step and
+    Each step follows the Rayleigh gradient 2 (G z - rho z_den) and maps back
+    with ``_feasible``.  A column's step grows by 2% after an accepted step and
     halves after a rejected one, so no column's objective ever rises.  Start
     columns with a vanishing denominator are dropped.  Stops once no column's
     objective fell by a relative ``rtol`` over the last ``window`` iterations.
     Returns (Z, rho, iterations).
     """
-    def feasible(Z):
-        Z[p:] = project_l1_columns(Z[p:], L * np.abs(Z[:p]).sum(axis=0))
-        dn = np.linalg.norm(Z[den], axis=0)
-        alive = dn > 1e-300
-        Z /= np.where(alive, dn, 1.0)
-        GZ = G @ Z
-        return Z, GZ, np.where(alive, np.einsum("dm,dm->m", Z, GZ), np.inf)
-
-    Z, GZ, rho = feasible(Z)
+    Z, GZ, rho = _feasible(G, Z, p, den, L)
     keep = np.isfinite(rho)
     Z, GZ, rho = Z[:, keep], GZ[:, keep], rho[keep]
     eta = np.full(rho.size, step0)
@@ -241,7 +244,7 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
     while it < max_iter:
         grad = 2.0 * GZ
         grad[den] -= 2.0 * rho * Z[den]
-        Z1, GZ1, rho1 = feasible(Z - eta * grad)
+        Z1, GZ1, rho1 = _feasible(G, Z - eta * grad, p, den, L)
         accept = rho1 <= rho + 1e-15
         eta = np.where(accept, np.minimum(eta * 1.02, step0 * 64.0), eta * 0.5)
         Z = np.where(accept, Z1, Z)
@@ -411,15 +414,17 @@ def _re_joint(G, p, sp, den, L, seed, n_starts, extra_starts, max_iter=8000):
     """Joint descent over the whole cone; used for mode gamma_prime (``den``
     every row) and for mode gamma with a cone support strictly larger than
     S' (``den`` = ``sp``, the rows of S')."""
+    step0 = _step(G)
     Z, rho, it = _descend(G, _starts(G, p, sp, L, seed, n_starts, extra_starts),
-                          p, den, L, _step(G), max_iter=max_iter, window=80, rtol=1e-13)
+                          p, den, L, step0, max_iter=max_iter, window=80, rtol=1e-13)
     best = int(np.argmin(rho))
     z = Z[:, best].copy()
     grad = 2.0 * (G @ z)
     grad[den] -= 2.0 * rho[best] * z[den]
-    g_t = grad - float(grad @ z) * z
+    # projected-gradient fixed-point residual ||z - P(z - t grad)|| / t
+    moved, _, _ = _feasible(G, (z - step0 * grad)[:, None], p, den, L)
     report = SolverReport(iterations=it, restarts=Z.shape[1],
-                          residual=float(np.linalg.norm(g_t)),
+                          residual=float(np.linalg.norm(moved[:, 0] - z)) / step0,
                           converged=it < max_iter,
                           spread=float(np.max(rho) - np.min(rho)))
     return z, report
@@ -568,30 +573,48 @@ def _masked_bases(E, supports, chunk=2048):
     return out
 
 
-def _pair_values_max(Ua, Ub, Ia=None, Ib=None, chunk_pairs=200_000):
+def _pair_values_max(Ua, Ub=None, indicators=None, chunk_pairs=200_000):
     """Max (and first argmax) of sigma_max(Ua_i^T Ub_j) over pairs (i, j).
 
-    With 0/1 support indicators ``Ia`` and ``Ib`` (one row per basis) only
-    pairs of disjoint supports count, and only their singular values are
-    computed.  Pairs are handled in chunks of about ``chunk_pairs``.
+    With ``Ub`` None the pairs are i < j within ``Ua`` whose supports, given
+    as 0/1 ``indicators`` (one row per basis), are disjoint; each unordered
+    pair comes once, since sigma_max(A^T B) = sigma_max(B^T A).  A chunk
+    of about ``chunk_pairs`` pairs is one BLAS product of the flattened bases.
+    Since sigma_max(C) <= ||C||_F, an s x s block C gets an SVD only if its
+    norm reaches a floor: the best value so far, or the best among the
+    chunk's 64 largest norms.  A relative slack of 1e-12 keeps rounding from
+    dropping a tied or winning pair.
     """
-    Na, _, s = Ua.shape
-    Nb = Ub.shape[0]
+    Na, n, s = Ua.shape
+    Fa = np.moveaxis(Ua, 0, 1).reshape(n, Na * s)
+    Fb = Fa if Ub is None else np.moveaxis(Ub, 0, 1).reshape(n, -1)
+    Nb = Fb.shape[1] // s
     best = -1.0
     best_pair = (0, 0)
     rows = max(1, chunk_pairs // max(Nb, 1))
     for lo in range(0, Na, rows):
         hi = min(lo + rows, Na)
-        C = np.einsum("ans,bnt->abst", Ua[lo:hi], Ub)
-        keep = np.ones((hi - lo, Nb), dtype=bool) if Ia is None else Ia[lo:hi] @ Ib.T == 0.0
-        ia, ib = np.nonzero(keep)
+        c0 = lo if Ub is None else 0
+        C = (Fa[:, lo * s:hi * s].T @ Fb[:, c0 * s:]).reshape(hi - lo, s, Nb - c0, s)
+        fro2 = np.einsum("asbt,asbt->ab", C, C)
+        if Ub is None:
+            keep = np.arange(c0, Nb) > np.arange(lo, hi)[:, None]
+            keep &= indicators[lo:hi] @ indicators[c0:].T == 0.0
+            if not keep.any():
+                continue
+            fro2[~keep] = -1.0
+        # the admissible pairs of largest norm set a floor the winner must reach
+        top = np.argpartition(fro2, -min(64, fro2.size), axis=None)[-64:]
+        ta, tb = np.unravel_index(top[fro2.flat[top] >= 0.0], fro2.shape)
+        floor = max(float(np.linalg.svd(C[ta, :, tb], compute_uv=False)[:, 0].max()), best)
+        ia, ib = np.nonzero(fro2 >= floor * floor * (1.0 - 1e-12))
         if ia.size == 0:
             continue
-        sv = np.linalg.svd(C[ia, ib], compute_uv=False)[:, 0]
+        sv = np.linalg.svd(C[ia, :, ib], compute_uv=False)[:, 0]
         j = int(np.argmax(sv))
         if float(sv[j]) > best:
             best = float(sv[j])
-            best_pair = (lo + int(ia[j]), int(ib[j]))
+            best_pair = (lo + int(ia[j]), c0 + int(ib[j]))
     return min(max(best, 0.0), 1.0), best_pair
 
 
@@ -665,7 +688,7 @@ def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, 
     indicators = np.zeros((supports.shape[0], d))
     np.put_along_axis(indicators, supports, 1.0, axis=1)
     bases = _masked_bases(X.entries, supports)
-    value, (i, j) = _pair_values_max(bases, bases, indicators, indicators)
+    value, (i, j) = _pair_values_max(bases, indicators=indicators)
     return (value, tuple(int(c) for c in supports[i]),
             tuple(int(c) for c in supports[j]))
 
@@ -744,12 +767,13 @@ def rno_to_re_lower_bound(epsilon: float, s: int, s_prime_size: int,
 
 def partial_rotation_failure_rate(regenerate, S: SupportSet, alpha, beta,
                                   epsilon: float, trials: int,
-                                  seed: SeedSpec) -> float:
-    """Fraction of regenerated designs whose fixed cross-block correlation exceeds epsilon.
+                                  seed: SeedSpec) -> int:
+    """Number of regenerated designs whose fixed cross-block correlation exceeds epsilon.
 
     ``regenerate`` maps a SeedSpec to a fresh design; ``alpha`` weights the S
     columns and ``beta`` the complement columns.  Trials run on independent
-    substreams, so the rate is reproducible and order-independent.
+    substreams, so the count is reproducible and order-independent; the
+    failure rate is the count over ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -774,4 +798,4 @@ def partial_rotation_failure_rate(regenerate, S: SupportSet, alpha, beta,
             raise DegenerateInputError("combination collapses to zero under the generator")
         if abs(float(u @ v)) > epsilon * nu * nv:
             count += 1
-    return count / trials
+    return count

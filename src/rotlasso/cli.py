@@ -164,11 +164,11 @@ def _cmd_cert(args) -> int:
         def regen(sd):
             return partially_rotate(X, S, kind, sd)
 
-        rate = partial_rotation_failure_rate(
+        count = partial_rotation_failure_rate(
             regen, S, np.ones(S.size), np.ones(X.n_cols - S.size),
             args.epsilon, args.trials, seed)
         payload = {"kind": "rot_check", "epsilon": args.epsilon,
-                   "trials": args.trials, "rate": rate}
+                   "trials": args.trials, "rate": count / args.trials}
     _write_json(payload, args.out)
     return 0
 

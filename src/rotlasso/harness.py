@@ -327,9 +327,8 @@ def _trial_rot_check(spec, gi, trial):
     def regen(sd):
         return partially_rotate(X, S, kind, sd)
 
-    rate = partial_rotation_failure_rate(regen, S, np.ones(k), np.ones(d - k),
-                                         epsilon, mc_trials, seed.substream(1))
-    exceed = int(round(rate * mc_trials))
+    exceed = partial_rotation_failure_rate(regen, S, np.ones(k), np.ones(d - k),
+                                           epsilon, mc_trials, seed.substream(1))
     if epsilon >= 1.0:
         passed = exceed == 0
     elif max_exceed is not None:
@@ -338,7 +337,7 @@ def _trial_rot_check(spec, gi, trial):
         passed = None
     return {"n": n, "d": d, "k": k, "rotation": rotation, "epsilon": epsilon,
             "max_exceed": max_exceed, "mc_trials": mc_trials,
-            "exceedances": exceed, "rate": rate}, passed
+            "exceedances": exceed, "rate": exceed / mc_trials}, passed
 
 
 _TRIAL_FUNCS = {

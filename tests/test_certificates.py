@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from rotlasso import (
     rno_fixed_supports,
     rno_to_re_lower_bound,
 )
-from rotlasso.certificates import ConeSpec
+from rotlasso.certificates import ConeSpec, _re_joint, max_rno_over_disjoint_pairs
 
 from conftest import gaussian_design
 
@@ -154,6 +155,17 @@ class TestReConstant:
         assert not cert.solver_report.converged
         # still a valid upper bound certified by a feasible witness
         assert cert.value >= re_constant(X, ConeSpec(S), S, mode="gamma").value - 1e-6
+
+    def test_joint_residual_tells_cut_short_from_finished(self):
+        X = gaussian_design(23, 8, seed=509)
+        S = SupportSet(8, (0, 4))
+        order = np.concatenate([S.array(), S.complement().array()])
+        E = X.entries[:, order]
+        G = E.T @ E / 23
+        runs = [_re_joint(G, 2, np.arange(2), slice(None), 1.0, None, 64, [], max_iter=m)[1]
+                for m in (1, 8000)]
+        assert not runs[0].converged and runs[1].converged
+        assert runs[0].residual > runs[1].residual
 
     def test_validation_errors(self):
         X = gaussian_design(6, 4, seed=1)
@@ -296,6 +308,73 @@ class TestRnoConstant:
         assert sampled.value <= exact.value + 1e-12
 
 
+def _oracle_designs():
+    """A generic design, a duplicated column on orthonormal columns (ties at 1
+    and rank-one cross products, where ||C||_F = sigma_max), and a column in the
+    span of two others (a rank-deficient span of size 3)."""
+    Q = orthonormal_design(12, 7, seed=5).entries
+    dependent = gaussian_design(20, 8, seed=41).entries.copy()
+    dependent[:, 2] = dependent[:, 0] + dependent[:, 1]
+    return [gaussian_design(20, 7, seed=40),
+            DesignMatrix(np.hstack([Q, Q[:, :1]]), normalized=True),
+            normalize_columns(DesignMatrix(dependent))]
+
+
+class TestRnoBruteForce:
+    """Both enumerations against a loop of rno_fixed_supports over every pair."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_max_over_disjoint_pairs(self, s):
+        for X in _oracle_designs():
+            d = X.n_cols
+            brute = max(
+                rno_fixed_supports(X, SupportSet(d, a), SupportSet(d, a), SupportSet(d, b))
+                for a, b in itertools.permutations(itertools.combinations(range(d), s), 2)
+                if not set(a) & set(b))
+            value, sa, sb = max_rno_over_disjoint_pairs(X, s)
+            assert value == pytest.approx(brute, abs=1e-12)
+            assert len(sa) == len(sb) == s and not set(sa) & set(sb)
+            A = SupportSet(d, sa)
+            assert rno_fixed_supports(X, A, A, SupportSet(d, sb)) == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_rno_constant(self, s):
+        for X in _oracle_designs():
+            d = X.n_cols
+            for idx in ((0, 1, 2), (3, 4, 6)):
+                S = SupportSet(d, idx)
+                comp = S.complement()
+                if s > min(S.size, comp.size):
+                    continue
+                brute = max(
+                    rno_fixed_supports(X, S, SupportSet(d, a), SupportSet(d, b))
+                    for a in itertools.combinations(S.indices, s)
+                    for b in itertools.combinations(comp.indices, s))
+                cert = rno_constant(X, S, s)
+                assert cert.value == pytest.approx(brute, abs=1e-12)
+                Sa, Sb = cert.witness
+                assert S.contains(Sa) and comp.contains(Sb) and Sa.size == Sb.size == s
+                assert rno_fixed_supports(X, S, Sa, Sb) == pytest.approx(cert.value, abs=1e-12)
+
+    def test_duplicated_column_ties_at_one(self):
+        X = _oracle_designs()[1]
+        for s in (1, 2, 3):
+            value, sa, sb = max_rno_over_disjoint_pairs(X, s)
+            assert value == pytest.approx(1.0, abs=1e-12)
+            assert {0, 7} <= set(sa) | set(sb)
+
+
+def test_disjoint_pair_enumeration_memory_is_bounded():
+    X = gaussian_design(60, 24, seed=77)
+    tracemalloc.start()
+    try:
+        max_rno_over_disjoint_pairs(X, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 class TestRipConstant:
     def test_orthonormal_zero(self):
         X = orthonormal_design(10, 6, seed=6)
@@ -364,18 +443,19 @@ class TestPartialRotationFailureRate:
     def test_epsilon_one_never_fails(self):
         X, S, alpha, beta = self._setup()
         regen = lambda sd: partially_rotate(X, S, RotationKind.haar(), sd)
-        rate = partial_rotation_failure_rate(regen, S, alpha, beta, 1.0, 200, SeedSpec(9))
-        assert rate == 0.0
+        count = partial_rotation_failure_rate(regen, S, alpha, beta, 1.0, 200, SeedSpec(9))
+        assert count == 0
 
     def test_haar_half_threshold(self):
         X, S, alpha, beta = self._setup()
         regen = lambda sd: partially_rotate(X, S, RotationKind.haar(), sd)
-        rate = partial_rotation_failure_rate(regen, S, alpha, beta, 0.5, 2000, SeedSpec(10))
-        assert rate * 2000 <= 2
+        count = partial_rotation_failure_rate(regen, S, alpha, beta, 0.5, 2000, SeedSpec(10))
+        assert isinstance(count, int)
+        assert count <= 2
 
     def test_determinism(self):
         X, S, alpha, beta = self._setup()
         regen = lambda sd: partially_rotate(X, S, RotationKind.gaussian(), sd)
-        r1 = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, 300, SeedSpec(12))
-        r2 = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, 300, SeedSpec(12))
-        assert r1 == r2
+        c1 = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, 300, SeedSpec(12))
+        c2 = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, 300, SeedSpec(12))
+        assert c1 == c2

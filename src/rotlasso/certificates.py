@@ -10,10 +10,14 @@ enumeration, and lower bounds when sampled.
 Computing a restricted eigenvalue exactly is intractable in general.  When
 the certified set covers every column, both variants are the smallest
 eigenvalue of the Gram matrix and are returned exactly.  Otherwise the
-certificate is the best of 64 and more restarts of one batched monotone
-projected-gradient descent over the cone; on small instances with at most 3
-certified coordinates a brute-force angular grid (2 degree resolution, then
-polished) serves as an independent oracle.
+certificate comes from one batched monotone projected-gradient descent over
+the cone, run from 64 and more restarts.  Mode gamma with the cone on S'
+itself goes through one pipeline over a set of unit directions of the cone
+block: an exact inner solve over the off-support l1 ball for every direction,
+a light polish of the 8 best, and a full polish of the winner.  The
+multistart feeds it the restarts' directions; on small instances with at
+most 3 certified coordinates the independent oracle feeds it a 2 degree
+angular grid instead.
 """
 from __future__ import annotations
 
@@ -38,6 +42,11 @@ from .core import (
 )
 
 DEFAULT_ENUM_CAP = 1_000_000
+# inner-solve tolerance of the final gamma polish; the light polishes that
+# rank the candidates, and the whole gamma' pre-solve, use the looser pair
+_INNER_TOL = 1e-9
+_LIGHT_INNER_TOL = 1e-7
+_LIGHT_INNER_CAP = 20_000
 # fixed so that certificates are reproducible when the caller passes no seed
 DEFAULT_SOLVER_SEED = SeedSpec(0x5EED, 0)
 
@@ -285,18 +294,15 @@ def _starts(G, p, sp, L, seed, n_starts, extra_starts):
                            rng.standard_normal((d, n_starts))], axis=1)
 
 
-def _polish_decomposed(G, p, z, L, step0, step_inner, inner_tol, inner_cap,
-                       max_outer=40, joint_iter=6000):
-    """Refine one restart: tight joint descent, one exact inner solve, then a
-    short alternating stage with Armijo steps on the sphere of the cone block.
+def _polish_decomposed(G, p, z, L, step_inner, inner_tol, inner_cap, max_outer=40):
+    """Refine one candidate: one exact inner solve, then a short alternating
+    stage with Armijo steps on the sphere of the cone block.
 
     The outer gradient accounts for the l1 budget moving with ||u||_1 whenever
-    the inner constraint is active.
+    the inner constraint is active.  The inner solves start warm, so their
+    residual is checked every 5 iterations.
     """
     G_BA, G_BB = G[p:, :p], G[p:, p:]
-    Z, _, _ = _descend(G, z[:, None].copy(), p, slice(None, p), L, step0,
-                       max_iter=joint_iter, window=100, rtol=1e-14)
-    z = Z[:, 0]
     total_inner = 0
     worst_res = 0.0
     inner_ok = True
@@ -306,7 +312,7 @@ def _polish_decomposed(G, p, z, L, step0, step_inner, inner_tol, inner_cap,
         r = L * np.abs(u).sum()
         V, its, res, conv = _inner_min(
             G_BB, (G_BA @ u)[:, None], np.array([r]), step_inner, v0=warm[:, None],
-            tol=inner_tol, max_iter=inner_cap,
+            tol=inner_tol, max_iter=inner_cap, check_every=5,
         )
         total_inner += its
         worst_res = max(worst_res, res)
@@ -345,29 +351,6 @@ def _polish_decomposed(G, p, z, L, step0, step_inner, inner_tol, inner_cap,
     return z, f, total_inner, worst_res, inner_ok
 
 
-def _gamma_decomposed(G, p, L, seed, n_starts, extra_starts, inner_tol, inner_cap):
-    """Mode gamma with cone support == S': joint descent from every start, an
-    exact inner solve at each restart's direction, and a polish of the best."""
-    step0, step_inner = _step(G), _step(G[p:, p:])
-    Z, _, it1 = _descend(G, _starts(G, p, np.arange(p), L, seed, n_starts, extra_starts),
-                         p, slice(None, p), L, step0, max_iter=2500, window=60, rtol=1e-12)
-    radii = L * np.abs(Z[:p]).sum(axis=0)
-    Z[p:], inner_it, _, _ = _inner_min(G[p:, p:], G[p:, :p] @ Z[:p], radii, step_inner,
-                                       v0=Z[p:], tol=max(inner_tol, 1e-7), max_iter=20_000)
-    f = _quad(G, Z)
-    best = int(np.argmin(f))
-    z, _, pol_inner, res, inner_ok = _polish_decomposed(
-        G, p, Z[:, best].copy(), L, step0, step_inner, inner_tol, inner_cap)
-    report = SolverReport(
-        iterations=it1 + inner_it + pol_inner,
-        restarts=Z.shape[1],
-        residual=res,
-        converged=inner_ok,
-        spread=float(np.max(f) - np.min(f)),
-    )
-    return z, report
-
-
 def _grid_directions(p):
     if p == 1:
         return np.array([[1.0]])
@@ -384,29 +367,27 @@ def _grid_directions(p):
     ])
 
 
-def _gamma_grid_oracle(G, p, L, inner_tol, inner_cap, top_k=8):
-    """Mode gamma on a 2 degree grid of cone directions: a coarse inner sweep
-    to locate the global basin, a light polish to rank the leading grid
-    candidates, and a full polish of the winner."""
-    step0, step_inner = _step(G), _step(G[p:, p:])
-    U = _grid_directions(p)
+def _gamma_from_directions(G, p, L, U, inner_tol, inner_cap):
+    """Mode gamma with cone support == S', from unit cone directions U (one
+    per column): a coarse inner sweep over every direction, ranked by the
+    quadratic form; a light polish of the 8 leaders; and a tight joint
+    descent and a full polish of the best of them."""
+    step_inner = _step(G[p:, p:])
     V, total, _, _ = _inner_min(G[p:, p:], G[p:, :p] @ U, L * np.abs(U).sum(axis=0),
                                 step_inner, tol=1e-5, max_iter=5_000)
     Z = np.concatenate([U, V])
-    best_val = math.inf
-    best = None
-    for idx in np.argsort(_quad(G, Z), kind="stable")[:top_k]:
-        z, val, its, _, _ = _polish_decomposed(
-            G, p, Z[:, idx].copy(), L, step0, step_inner, max(inner_tol, 1e-7), 20_000,
-            max_outer=10, joint_iter=2000)
-        total += its
-        if val < best_val:
-            best_val = val
-            best = z
-    z, _, its, worst_res, ok = _polish_decomposed(
-        G, p, best, L, step0, step_inner, inner_tol, inner_cap)
-    report = SolverReport(iterations=total + its, restarts=U.shape[1],
-                          residual=worst_res, converged=ok, spread=None)
+    f = _quad(G, Z)
+    light = [_polish_decomposed(G, p, Z[:, i], L, step_inner, _LIGHT_INNER_TOL,
+                                _LIGHT_INNER_CAP, max_outer=10)
+             for i in np.argsort(f, kind="stable")[:8]]
+    best = min(light, key=lambda r: r[1])[0]
+    Z, _, _ = _descend(G, best[:, None], p, slice(None, p), L, _step(G),
+                       max_iter=6000, window=100, rtol=1e-14)
+    z, _, its, worst_res, ok = _polish_decomposed(G, p, Z[:, 0], L, step_inner, inner_tol,
+                                                  inner_cap)
+    report = SolverReport(iterations=total + sum(r[2] for r in light) + its,
+                          restarts=U.shape[1], residual=worst_res, converged=ok,
+                          spread=float(np.max(f) - np.min(f)))
     return z, report
 
 
@@ -433,7 +414,6 @@ def _re_joint(G, p, sp, den, L, seed, n_starts, extra_starts, max_iter=8000):
 def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
                 mode: str = "gamma", method: str = "multistart", *,
                 seed: SeedSpec | None = None, n_starts: int = 64,
-                extra_starts=(), inner_tol: float = 1e-9,
                 max_inner_iter: int = 100_000) -> Certificate:
     """Certified upper bound on a restricted-eigenvalue constant.
 
@@ -443,15 +423,18 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
 
     When ``S_prime`` covers every column both modes are the smallest
     eigenvalue of the Gram matrix, returned exactly with its eigenvector
-    (method ``exact_svd``).  Otherwise every path runs the same monotone
-    projected-gradient descent from the same kind of restarts.
-    ``multistart`` in mode ``gamma`` with cone support ``S_prime`` adds an
-    exact convex inner minimization over the off-support l1 ball and a
-    polish; every other case descends over whole cone vectors, and mode
+    (method ``exact_svd``).  Mode ``gamma`` with cone support ``S_prime``
+    takes unit directions u of the cone block, solves the convex inner
+    problem over the off-support l1 ball exactly for each, ranks them by
+    the quadratic form, polishes the 8 best lightly and the winner fully.
+    The two methods differ only in the directions: ``multistart`` uses the
+    cone blocks of the restarts (``n_starts`` Gaussian ones and a few
+    deterministic ones), ``grid_oracle`` a 2 degree angular grid, which
+    limits it to this mode and at most 3 certified coordinates.  Every other
+    case descends over whole cone vectors from the same restarts; mode
     ``gamma_prime`` with cone support ``S_prime`` also starts from the
     gamma-mode witness (always feasible, so gamma' <= gamma holds).
-    ``grid_oracle`` replaces the restarts by a 2 degree angular grid and
-    supports mode ``gamma`` with at most 3 certified coordinates.
+    ``max_inner_iter`` caps each inner solve of the final polish.
     """
     if mode not in ("gamma", "gamma_prime"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -481,18 +464,20 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     E = X.entries[:, order]
     G = (E.T @ E) / X.n_rows
     p = cone.S.size
-    starts = [(z.to_dense() if isinstance(z, SparseVector) else np.asarray(z, float))[order]
-              for z in extra_starts]
-    if method == "grid_oracle":
-        z, report = _gamma_grid_oracle(G, p, cone.L, inner_tol, max_inner_iter)
-    elif mode == "gamma" and same:
-        z, report = _gamma_decomposed(G, p, cone.L, seed, n_starts, starts,
-                                      inner_tol, max_inner_iter)
-    else:
-        if mode == "gamma_prime" and same:
-            pre, _ = _gamma_decomposed(G, p, cone.L, seed, max(n_starts // 2, 8), starts,
-                                       max(inner_tol, 1e-7), 20_000)
-            starts.append(pre)
+    starts = []
+    if same:
+        if method == "grid_oracle":
+            U = _grid_directions(p)
+        else:
+            m = n_starts if mode == "gamma" else max(n_starts // 2, 8)
+            U = np.unique(_starts(G, p, np.arange(p), cone.L, seed, m, [])[:p], axis=1)
+            U /= np.linalg.norm(U, axis=0)
+        # mode gamma_prime only needs a feasible start, so a lighter final polish
+        tol, cap = ((_INNER_TOL, max_inner_iter) if mode == "gamma"
+                    else (_LIGHT_INNER_TOL, _LIGHT_INNER_CAP))
+        z, report = _gamma_from_directions(G, p, cone.L, U, tol, cap)
+        starts.append(z)
+    if mode == "gamma_prime" or not same:
         sp = np.searchsorted(cone.S.array(), S_prime.array())
         z, report = _re_joint(G, p, sp, sp if mode == "gamma" else slice(None), cone.L,
                               seed, n_starts, starts)

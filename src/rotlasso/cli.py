@@ -124,9 +124,7 @@ def _cmd_gen(args) -> int:
         X = rotated_adversary_design(X0, A, kind, seed.substream(1))
         S = SupportSet(X.n_cols, tuple(range(d)))
     else:  # correlated
-        blocks = (BlockSpec.single_group(S, args.rho) if args.groups == 1
-                  else BlockSpec.split(S, args.groups, args.rho))
-        X = correlated_block_design(n, d, S, blocks, seed)
+        X = correlated_block_design(n, d, S, BlockSpec.split(S, args.groups, args.rho), seed)
     paths = write_design(X, args.out, seed=seed, support=S if S.size else None)
     _write_json({"written": paths, "n": X.n_rows, "d": X.n_cols}, None)
     return 0

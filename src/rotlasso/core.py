@@ -242,7 +242,7 @@ def normalize_columns(X: DesignMatrix) -> DesignMatrix:
     return DesignMatrix(X.entries * (target / norms), normalized=True)
 
 
-def orthonormal_basis(M, rank_rtol: float = BASIS_RANK_RTOL) -> np.ndarray:
+def orthonormal_basis(M) -> np.ndarray:
     """Orthonormal basis of the column span of M, as an n x rank matrix.
 
     Rank is decided by a relative singular-value cutoff; an all-zero input
@@ -254,7 +254,7 @@ def orthonormal_basis(M, rank_rtol: float = BASIS_RANK_RTOL) -> np.ndarray:
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((M.shape[0], 0))
-    r = int(np.count_nonzero(s > rank_rtol * s[0]))
+    r = int(np.count_nonzero(s > BASIS_RANK_RTOL * s[0]))
     return np.ascontiguousarray(U[:, :r])
 
 

@@ -218,12 +218,9 @@ class BlockSpec:
             raise ValueError("block spec needs at least one group")
 
     @classmethod
-    def single_group(cls, S: SupportSet, rho: float = 0.0) -> "BlockSpec":
-        """All off-support columns in one group (fully duplicated when rho=0)."""
-        return cls((CorrelatedGroup(S.complement().indices, rho),))
-
-    @classmethod
     def split(cls, S: SupportSet, n_groups: int, rho: float = 0.0) -> "BlockSpec":
+        """Deal the off-support columns round-robin into ``n_groups`` groups;
+        one group with rho=0 duplicates a single column across the block."""
         comp = S.complement().indices
         if not 1 <= n_groups <= len(comp):
             raise ValueError(f"cannot split {len(comp)} columns into {n_groups} groups")

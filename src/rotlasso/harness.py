@@ -167,9 +167,7 @@ def _trial_seed(spec: ExperimentSpec, gi: int, trial: int) -> SeedSpec:
 
 def _adversarial_design(n, d, S, g, seed):
     """Model-style design: planted Gaussian support, correlated off-support block."""
-    rho = float(g.get("rho", 0.0))
-    groups = int(g.get("groups", 1))
-    blocks = BlockSpec.single_group(S, rho) if groups == 1 else BlockSpec.split(S, groups, rho)
+    blocks = BlockSpec.split(S, int(g.get("groups", 1)), float(g.get("rho", 0.0)))
     if g.get("design", "correlated") == "semirandom":
         base = rank_one_design(n, d, seed.substream(7))
         return semirandom_gaussian_design(base, S, seed.substream(8))

@@ -22,6 +22,11 @@ from .core import (
     seeded_stream,
 )
 
+# stopping rule of lasso_constrained: relative objective decrease over a
+# 50-iteration window, and an iteration cap past which it reports non-convergence
+LASSO_TOL = 1e-8
+LASSO_MAX_ITER = 200_000
+
 
 @dataclass(frozen=True, eq=False)
 class RegressionInstance:
@@ -72,14 +77,13 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     return project_l1(np.asarray(v, dtype=np.float64), radius)
 
 
-def lasso_constrained(instance: RegressionInstance, radius: float, tol: float = 1e-8,
-                      max_iter: int = 200_000) -> LassoSolution:
+def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolution:
     """Projected gradient descent for the l1-constrained least squares problem.
 
     Starts from zero, stops when the relative objective decrease over a
-    50-iteration window falls below ``tol`` (or earlier once the fixed-point
-    residual is negligible); hitting ``max_iter`` flags the solution as not
-    converged but it remains feasible.
+    50-iteration window falls below ``LASSO_TOL`` (or earlier once the
+    fixed-point residual is negligible); hitting ``LASSO_MAX_ITER`` flags the
+    solution as not converged but it remains feasible.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -99,7 +103,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float, tol: float = 
     window = 50
     res = np.inf
     it = 0
-    while it < max_iter:
+    while it < LASSO_MAX_ITER:
         grad_half = X.T @ r
         b_new = project_l1(b - step * grad_half, radius)
         r = X @ b_new - y
@@ -111,7 +115,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float, tol: float = 
             break
         if it >= window:
             prev = trace[-1 - window]
-            if prev - trace[-1] < tol * max(prev, 1e-300):
+            if prev - trace[-1] < LASSO_TOL * max(prev, 1e-300):
                 break
     converged = res <= 1e-6 * (1.0 + float(np.linalg.norm(b)))
     return LassoSolution(

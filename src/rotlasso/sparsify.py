@@ -16,6 +16,10 @@ import numpy as np
 
 from .core import DesignMatrix, SeedSpec, SparseVector, seeded_stream
 
+# attempts before maurey_sparsify gives up; by Markov's inequality each one
+# misses the bound with probability at most 1/4
+MAX_ATTEMPTS = 100
+
 
 class SparsifyFailureError(RuntimeError):
     """All attempts exceeded the deterministic bound; carries the best attempt."""
@@ -51,8 +55,7 @@ def sparsification_error(X: DesignMatrix, beta, beta_prime) -> float:
     return float(np.linalg.norm(X.entries @ (b - bp)))
 
 
-def maurey_sparsify(X: DesignMatrix, beta, s: int, seed: SeedSpec,
-                    max_attempts: int = 100) -> SparsifyResult:
+def maurey_sparsify(X: DesignMatrix, beta, s: int, seed: SeedSpec) -> SparsifyResult:
     """Sample an s-sparse surrogate whose image error meets the deterministic bound.
 
     Each sampled index j receives mass sign(beta_j) * ||beta||_1 * count_j / s,
@@ -63,8 +66,6 @@ def maurey_sparsify(X: DesignMatrix, beta, s: int, seed: SeedSpec,
     """
     if s < 1:
         raise ValueError("s must be positive")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be positive")
     b = _as_dense(beta, X.n_cols)
     support = np.nonzero(b)[0]
     col_norms = np.linalg.norm(X.entries, axis=0)
@@ -78,7 +79,7 @@ def maurey_sparsify(X: DesignMatrix, beta, s: int, seed: SeedSpec,
     signs = np.sign(b[support])
     image = X.entries @ b
     best = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         rng = seeded_stream(seed.substream(attempt - 1))
         picks = rng.choice(support.size, size=s, p=weights)
         counts = np.bincount(picks, minlength=support.size)
@@ -97,5 +98,5 @@ def maurey_sparsify(X: DesignMatrix, beta, s: int, seed: SeedSpec,
         if err <= bound:
             return result
     raise SparsifyFailureError(
-        f"no attempt met the bound {bound!r} after {max_attempts} tries "
+        f"no attempt met the bound {bound!r} after {MAX_ATTEMPTS} tries "
         f"(best error {best.error!r})", best)

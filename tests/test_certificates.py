@@ -60,6 +60,34 @@ class TestConeMembership:
         assert cone_membership(z, cone)
 
 
+def sphere_grid_gamma_prime(G, sp, zooms=12):
+    """Brute-force gamma' at d = 3: min z^T G z over unit z in the cone of the
+    rows ``sp`` (L = 1), from a 1 degree grid on the sphere and then
+    tangent-plane grids zoomed around each of the 100 best cone points."""
+    def cone_values(Z):
+        on = np.abs(Z[sp]).sum(axis=0)
+        Z = Z[:, np.abs(Z).sum(axis=0) - on <= on]
+        return np.einsum("dm,dm->m", Z, G @ Z), Z
+
+    h = np.deg2rad(1.0)
+    T, P = np.meshgrid(np.arange(0.0, 2.0 * np.pi, h), np.arange(0.0, np.pi + h / 2, h))
+    sphere = np.stack([np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)])
+    vals, Z = cone_values(sphere.reshape(3, -1))
+    best = float(vals.min())
+    A, B = np.meshgrid(np.linspace(-1.0, 1.0, 41), np.linspace(-1.0, 1.0, 41))
+    offsets = np.stack([A.ravel(), B.ravel()])
+    for c in Z[:, np.argsort(vals)[:100]].T:
+        width = h
+        for _ in range(zooms):
+            tangent = np.linalg.svd(c[None, :])[2][1:]
+            W = c[:, None] + width * (tangent.T @ offsets)
+            v, W = cone_values(W / np.linalg.norm(W, axis=0))
+            c = W[:, int(np.argmin(v))]
+            best = min(best, float(v.min()))
+            width /= 4.0
+    return best
+
+
 class TestReConstant:
     def test_orthonormal_value_one(self):
         X = orthonormal_design(10, 6, seed=3)
@@ -134,6 +162,21 @@ class TestReConstant:
                 z = cert.witness.to_dense()
                 assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
                 assert abs(re_objective_value(XS, z, S, mode) - cert.value) <= 1e-15
+
+    def test_gamma_prime_matches_sphere_grid(self):
+        # below the full cone at d = 3; the cone must bind in some cases, or
+        # the check would only repeat the smallest eigenvalue
+        binding = 0
+        for seed in range(4):
+            X = gaussian_design(5 + seed, 3, seed=seed)
+            G = X.entries.T @ X.entries / X.n_rows
+            for p in (1, 2):
+                S = SupportSet(3, tuple(range(p)))
+                grid = sphere_grid_gamma_prime(G, S.array())
+                ms = re_constant(X, ConeSpec(S), S, mode="gamma_prime").value
+                assert abs(ms - grid) <= 1e-3 * grid
+                binding += grid > float(np.linalg.eigvalsh(G)[0]) + 1e-3
+        assert binding >= 2
 
     def test_full_cone_around_a_smaller_denominator(self):
         # no off-support block: gamma is the smallest eigenvalue of the Schur

@@ -208,7 +208,7 @@ class TestCounterexampleDesign:
 class TestCorrelatedBlockDesign:
     def test_single_group_duplicates(self):
         S = SupportSet(10, (0, 1, 2))
-        X = correlated_block_design(20, 10, S, BlockSpec.single_group(S), SeedSpec(5))
+        X = correlated_block_design(20, 10, S, BlockSpec.split(S, 1), SeedSpec(5))
         block = X.entries[:, 3:]
         for j in range(1, 7):
             assert_array_equal(block[:, j], block[:, 0])
@@ -222,7 +222,7 @@ class TestCorrelatedBlockDesign:
 
     def test_perturbed_groups_high_cosine(self):
         S = SupportSet(12, (0, 1))
-        X = correlated_block_design(40, 12, S, BlockSpec.single_group(S, rho=0.01), SeedSpec(7))
+        X = correlated_block_design(40, 12, S, BlockSpec.split(S, 1, rho=0.01), SeedSpec(7))
         block = X.entries[:, 2:] / math.sqrt(40)
         cos = block.T @ block
         assert np.min(cos) >= 0.999

@@ -5,7 +5,10 @@ smallest eigenvalue) are certified by feasible points, so reported values are
 upper bounds on the true constants; they equal the objective at the returned
 witness.  Maximization constants (restricted normalized orthogonality,
 restricted isometry deviation) are exact when computed by complete
-enumeration, and lower bounds when sampled.
+enumeration, and lower bounds when sampled.  The isometry enumeration screens
+every support by the end eigenvalues of its block of the Gram matrix, then
+rechecks by SVD every support that screens within a derived rounding slack
+of the best, so its value and witness are those of an SVD of every support.
 
 Computing a restricted eigenvalue exactly is intractable in general.  When
 the certified set covers every column, both variants are the smallest
@@ -610,6 +613,13 @@ def _sampled_subsets(rng, pool, s, count):
     return np.sort(pool[take], axis=1)
 
 
+def _combinations(pool, s):
+    """Every s-subset of ``pool``, one row each, in itertools order."""
+    count = comb(len(pool), s)
+    flat = itertools.chain.from_iterable(itertools.combinations(pool, s))
+    return np.fromiter(flat, np.intp, count=count * s).reshape(count, s)
+
+
 def rno_constant(X: DesignMatrix, S: SupportSet, s: int,
                  cap: int = DEFAULT_ENUM_CAP, sample_pairs: int | None = None,
                  seed: SeedSpec | None = None) -> Certificate:
@@ -632,8 +642,8 @@ def rno_constant(X: DesignMatrix, S: SupportSet, s: int,
                 f"{n_pairs} support pairs exceed the cap {cap}; pass sample_pairs "
                 f"(CLI: --sample-pairs) for a sampled lower bound"
             )
-        alpha = np.array(list(itertools.combinations(S.indices, s)), dtype=np.intp)
-        beta = np.array(list(itertools.combinations(comp.indices, s)), dtype=np.intp)
+        alpha = _combinations(S.indices, s)
+        beta = _combinations(comp.indices, s)
         complete = True
         evaluated = n_pairs
     else:
@@ -669,13 +679,39 @@ def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, 
     the two supports that attain it.
     """
     d = X.n_cols
-    supports = np.array(list(itertools.combinations(range(d), s)), dtype=np.intp)
+    supports = _combinations(range(d), s)
     indicators = np.zeros((supports.shape[0], d))
     np.put_along_axis(indicators, supports, 1.0, axis=1)
     bases = _masked_bases(X.entries, supports)
     value, (i, j) = _pair_values_max(bases, indicators=indicators)
     return (value, tuple(int(c) for c in supports[i]),
             tuple(int(c) for c in supports[j]))
+
+
+def _rip_screen_slack(G, n, s):
+    """Twice a bound on the gap between a screened and an SVD deviation.
+
+    Let u be the unit roundoff and c = max(1, max_i G_ii) bound the squared
+    column norms.  Each entry of G = E^T E is within n*u*|e_i||e_j| of exact,
+    so an s x s block is within n*u*trace(G_S) <= n*u*s*c in spectral norm,
+    and eigvalsh adds a backward error of about s*u*|G_S| <= s*u*s*c.  Weyl's
+    inequality then puts each computed eigenvalue within
+    eps_lam = (n + s)*u*s*c of exact, with a factor 4 of headroom.  As
+    |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) for a, b >= 0, the sigma_min term
+    of the screened deviation is off by at most sqrt(eps_lam); the sigma_max
+    term by as much in any case, and by eps_lam/2 once unit columns give
+    lambda_max >= 1.  The SVD of the n x s columns is exact for a
+    perturbation of norm about (n + s)*u*|E_S| <= (n + s)*u*sqrt(s*c), again
+    with a factor 4, and that moves each singular value, hence the
+    deviation, by at most that much, eps_svd.  A screened deviation is so
+    within sqrt(eps_lam) + eps_svd of the SVD's, and the support that wins
+    by SVD screens within twice that of the best screened value.
+    """
+    u = np.finfo(float).eps / 2
+    scale = s * max(float(G.diagonal().max()), 1.0)
+    eps_lam = 4.0 * (n + s) * u * scale
+    eps_svd = 4.0 * (n + s) * u * math.sqrt(scale)
+    return 2.0 * (math.sqrt(eps_lam) + eps_svd)
 
 
 def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
@@ -686,6 +722,14 @@ def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
     The caller passes the design with unit columns (the normalized convention
     divided by sqrt(n)); the value is max(1 - sigma_min, sigma_max - 1) over
     supports of size exactly s, which dominates all smaller supports.
+
+    A screen reads every support's deviation from the end eigenvalues of its
+    s x s block of G = E^T E.  Every support whose screened deviation lies
+    within a rounding slack of the best (``_rip_screen_slack``) is then
+    rechecked by the SVD of its n x s columns, and the value and witness (the
+    first maximiser in enumeration order) come from those SVDs, so they equal
+    an SVD of every support.  The report's residual is the largest gap
+    between a screened and a rechecked deviation, at most half the slack.
     """
     d = X_unit.n_cols
     if not 1 <= s <= d:
@@ -697,29 +741,40 @@ def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
                 f"{n_sup} supports exceed the cap {cap}; pass sample_supports "
                 f"for a sampled lower bound"
             )
-        supports = np.array(list(itertools.combinations(range(d), s)), dtype=np.intp)
+        supports = _combinations(range(d), s)
         complete = True
     else:
         rng = seeded_stream(seed if seed is not None else DEFAULT_SOLVER_SEED)
         supports = _sampled_subsets(rng, np.arange(d), s, sample_supports)
         complete = False
+    E = X_unit.entries
+    G = E.T @ E
+    chunk = 4096
+    screened = np.empty(supports.shape[0])
+    for lo in range(0, supports.shape[0], chunk):
+        T = supports[lo:lo + chunk]
+        lam = np.linalg.eigvalsh(G[T[:, :, None], T[:, None, :]])
+        screened[lo:lo + chunk] = np.maximum(1.0 - np.sqrt(np.maximum(lam[:, 0], 0.0)),
+                                             np.sqrt(lam[:, -1]) - 1.0)
+    rechecked = np.flatnonzero(
+        screened >= screened.max() - _rip_screen_slack(G, X_unit.n_rows, s))
     best = -1.0
     best_i = 0
-    chunk = 4096
-    for lo in range(0, supports.shape[0], chunk):
-        hi = min(lo + chunk, supports.shape[0])
-        stack = np.moveaxis(X_unit.entries[:, supports[lo:hi]], 0, 1)
-        sv = np.linalg.svd(stack, compute_uv=False)
+    residual = 0.0
+    for lo in range(0, rechecked.size, chunk):
+        idx = rechecked[lo:lo + chunk]
+        sv = np.linalg.svd(np.moveaxis(E[:, supports[idx]], 0, 1), compute_uv=False)
         dev = np.maximum(1.0 - sv[:, -1], sv[:, 0] - 1.0)
+        residual = max(residual, float(np.abs(dev - screened[idx]).max()))
         i = int(np.argmax(dev))
         if float(dev[i]) > best:
             best = float(dev[i])
-            best_i = lo + i
+            best_i = int(idx[i])
     witness = SupportSet(d, tuple(int(i) for i in supports[best_i]))
     return Certificate(
         kind=KIND_RIP, value=best, witness=witness, method="enumeration",
         solver_report=SolverReport(iterations=supports.shape[0], restarts=1,
-                                   residual=0.0, complete=complete),
+                                   residual=residual, complete=complete),
     )
 
 

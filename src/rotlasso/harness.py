@@ -31,6 +31,7 @@ from .certificates import (
     rip_constant,
     rip_to_rno_bound,
     rno_constant,
+    rno_to_re_lower_bound,
 )
 from .core import (
     DesignMatrix,
@@ -246,9 +247,11 @@ def _trial_rno_whp(spec, gi, trial):
     cert_xs = re_constant(XS, ConeSpec(Sf), Sf, mode="gamma", seed=seed.substream(3))
     ratio = cert_x.value / cert_xs.value
     # smallest constant C for which the orthogonality-to-eigenvalue bound
-    # explains the measured ratio, plus pass flags for the reported C values
+    # explains the measured ratio (the bound's closed-form inverse in C),
+    # plus pass flags from the bound itself at the reported C values
     c_min = (1.0 - eps - ratio) * math.sqrt(cert_xs.value * s / k)
-    holds = {f"holds_c{c}": ratio >= 1.0 - eps - c * math.sqrt(k / (cert_xs.value * s))
+    holds = {f"holds_c{c}":
+             cert_x.value >= rno_to_re_lower_bound(eps, s, k, cert_xs.value, C=c)
              for c in (2, 4, 8)}
     passed = eps <= 2.0 * eps_target
     return {"n": n, "d": d, "k": k, "s": s, "rotation": rotation, "base": base_kind,

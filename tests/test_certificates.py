@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import betainc
+from scipy.stats import binom
 
 from rotlasso import (
     DesignMatrix,
@@ -28,8 +30,15 @@ from rotlasso import (
     rno_constant,
     rno_fixed_supports,
     rno_to_re_lower_bound,
+    seeded_stream,
 )
-from rotlasso.certificates import ConeSpec, _re_joint, max_rno_over_disjoint_pairs
+from rotlasso.certificates import (
+    ConeSpec,
+    _re_joint,
+    _rip_screen_slack,
+    _sampled_subsets,
+    max_rno_over_disjoint_pairs,
+)
 
 from conftest import gaussian_design
 
@@ -445,6 +454,68 @@ class TestRipConstant:
         assert cert.witness.indices == max(devs, key=devs.get)
 
 
+def _svd_deviation(Xu, T):
+    sv = np.linalg.svd(Xu.entries[:, list(T)], compute_uv=False)
+    return max(1.0 - sv[-1], sv[0] - 1.0)
+
+
+def _rip_oracle_designs():
+    """The RNO oracle designs, whose duplicated and dependent columns make
+    some supports exactly singular; orthonormal columns, on which every
+    support ties; and two columns within 1e-9 and 3e-9 of two others.  There
+    sigma_min is below 1e-9 and the square root of a rounded Gram eigenvalue
+    errs by up to about 2e-8: the screened value alone is wrong, and its
+    order misranks the winner, so that rechecking only the screen's leaders
+    misses it by about 1e-9."""
+    near = gaussian_design(20, 8, seed=56).entries.copy()
+    noise = np.random.default_rng(56).standard_normal((20, 2))
+    near[:, 7] = near[:, 0] + 1e-9 * noise[:, 0]
+    near[:, 6] = near[:, 1] + 3e-9 * noise[:, 1]
+    return _oracle_designs() + [orthonormal_design(12, 8, seed=7),
+                                normalize_columns(DesignMatrix(near))]
+
+
+class TestRipBruteForce:
+    """The Gram screen with its SVD recheck against a per-support SVD loop."""
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_svd_loop(self, s, sampled):
+        for X in _rip_oracle_designs():
+            n, d = X.n_rows, X.n_cols
+            Xu = DesignMatrix(X.entries / math.sqrt(n))
+            if sampled:
+                cert = rip_constant(Xu, s, sample_supports=40, seed=SeedSpec(3))
+                supports = _sampled_subsets(seeded_stream(SeedSpec(3)), np.arange(d), s, 40)
+            else:
+                cert = rip_constant(Xu, s)
+                supports = itertools.combinations(range(d), s)
+            brute = max(_svd_deviation(Xu, T) for T in supports)
+            assert cert.solver_report.complete is not sampled
+            assert cert.value == pytest.approx(brute, abs=1e-12)
+            assert cert.witness.size == s
+            # the witness attains the maximum, and a fresh SVD of its columns
+            # gives the value (the benchmark's witness rule)
+            witness_dev = _svd_deviation(Xu, cert.witness.indices)
+            assert witness_dev == pytest.approx(brute, abs=1e-12)
+            assert abs(witness_dev - cert.value) <= 1e-12 * max(1.0, cert.value)
+            G = Xu.entries.T @ Xu.entries
+            assert cert.solver_report.residual <= _rip_screen_slack(G, n, s) / 2
+
+
+def test_rip_enumeration_memory_is_bounded():
+    X = gaussian_design(60, 28, seed=78)
+    Xu = DesignMatrix(X.entries / math.sqrt(60))
+    tracemalloc.start()
+    try:
+        cert = rip_constant(Xu, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.solver_report.iterations == 376_740
+    assert peak < 32 * 2**20
+
+
 class TestFormulaBounds:
     def test_rip_to_rno_values(self):
         assert rip_to_rno_bound(0.0) == 0.0
@@ -502,3 +573,17 @@ class TestPartialRotationFailureRate:
         c1 = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, 300, SeedSpec(12))
         c2 = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, 300, SeedSpec(12))
         assert c1 == c2
+
+    @pytest.mark.parametrize("rotated", ["complement", "support"])
+    def test_haar_count_follows_beta_law(self, rotated):
+        # a Haar rotation sends either combination to a uniform direction, so
+        # cos^2 ~ Beta(1/2, (n-1)/2) whichever block it rotates
+        X, S, alpha, beta = self._setup()
+        block = S.complement() if rotated == "support" else S
+        regen = lambda sd: partially_rotate(X, block, RotationKind.haar(), sd)
+        trials = 1500
+        p = 1.0 - betainc(0.5, (100 - 1) / 2.0, 0.2**2)
+        assert p == pytest.approx(4.49e-2, abs=5e-5)
+        lo, hi = binom.interval(1.0 - 1e-6, trials, p)
+        count = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, trials, SeedSpec(13))
+        assert lo <= count <= hi

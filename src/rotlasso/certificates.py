@@ -17,10 +17,10 @@ certificate comes from one batched monotone projected-gradient descent over
 the cone, run from 64 and more restarts.  Mode gamma with the cone on S'
 itself goes through one pipeline over a set of unit directions of the cone
 block: an exact inner solve over the off-support l1 ball for every direction,
-a light polish of the 8 best, and a full polish of the winner.  The
-multistart feeds it the restarts' directions; on small instances with at
-most 3 certified coordinates the independent oracle feeds it a 2 degree
-angular grid instead.
+one light polish of the 8 best, run on them as one block in lockstep, and a
+full polish of the winner.  The multistart feeds it the restarts'
+directions; on small instances with at most 3 certified coordinates the
+independent oracle feeds it a 2 degree angular grid instead.
 """
 from __future__ import annotations
 
@@ -297,61 +297,75 @@ def _starts(G, p, sp, L, seed, n_starts, extra_starts):
                            rng.standard_normal((d, n_starts))], axis=1)
 
 
-def _polish_decomposed(G, p, z, L, step_inner, inner_tol, inner_cap, max_outer=40):
-    """Refine one candidate: one exact inner solve, then a short alternating
-    stage with Armijo steps on the sphere of the cone block.
+def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=40):
+    """Refine a (d, m) block of candidate columns in lockstep: one exact inner
+    solve each, then a short alternating stage with Armijo steps on the sphere
+    of the cone block.
 
-    The outer gradient accounts for the l1 budget moving with ||u||_1 whenever
-    the inner constraint is active.  The inner solves start warm, so their
-    residual is checked every 5 iterations.
+    Every column keeps its own step, Armijo try count, outer-step count and
+    stop flag, so it follows the path it would follow alone (m = 1).  Each
+    round the columns that just moved take one batched tangent gradient, and
+    every live column makes one trial step; the inner solves of a round are
+    one batched ``_inner_min`` call, warm-started at each column's current
+    off-support block, so their residual is checked every 5 iterations.  The
+    outer gradient accounts for the l1 budget moving with ||u||_1 whenever
+    the inner constraint is active.  Returns (Z, f, inner sweeps, worst inner
+    residual, every inner solve converged); a batched sweep counts once.
     """
     G_BA, G_BB = G[p:, :p], G[p:, p:]
     total_inner = 0
     worst_res = 0.0
     inner_ok = True
 
-    def solve_inner(u, warm):
+    def solve_inner(U, warm):
         nonlocal total_inner, worst_res, inner_ok
-        r = L * np.abs(u).sum()
-        V, its, res, conv = _inner_min(
-            G_BB, (G_BA @ u)[:, None], np.array([r]), step_inner, v0=warm[:, None],
-            tol=inner_tol, max_iter=inner_cap, check_every=5,
-        )
+        r = L * np.abs(U).sum(axis=0)
+        V, its, res, conv = _inner_min(G_BB, G_BA @ U, r, step_inner, v0=warm,
+                                       tol=inner_tol, max_iter=inner_cap, check_every=5)
         total_inner += its
         worst_res = max(worst_res, res)
         inner_ok = inner_ok and conv
-        return np.concatenate([u, V[:, 0]]), r
+        return np.concatenate([U, V]), r
 
-    z, r = solve_inner(z[:p], z[p:])
-    f = float(z @ G @ z)
-    eta = 0.5
-    for _ in range(max_outer):
-        u, v = z[:p], z[p:]
-        Gz = 2.0 * (G @ z)
-        grad = Gz[:p]
-        if r > 0 and np.abs(v).sum() >= r * (1.0 - 1e-9):
-            grad = grad + float(Gz[p:] @ (v / r)) * L * np.sign(u)
-        g_t = grad - float(grad @ u) * u
-        gnorm = float(np.linalg.norm(g_t))
-        if gnorm <= 1e-12 * (1.0 + abs(f)):
+    Z, r = solve_inner(Z[:p], Z[p:])
+    f = _quad(G, Z)
+    m = Z.shape[1]
+    eta = np.full(m, 0.5)
+    outer = np.zeros(m, dtype=int)
+    tries = np.zeros(m, dtype=int)
+    g_t = np.zeros((p, m))
+    gnorm = np.zeros(m)
+    live = np.full(m, max_outer > 0)
+    i = np.flatnonzero(live)  # the columns that just moved
+    while True:
+        if i.size:
+            U, V, ri = Z[:p, i], Z[p:, i], r[i]
+            GZ = 2.0 * (G @ Z[:, i])
+            tight = (ri > 0) & (np.abs(V).sum(axis=0) >= ri * (1.0 - 1e-9))
+            load = np.einsum("qm,qm->m", GZ[p:], V / np.where(tight, ri, 1.0))
+            grad = GZ[:p] + np.where(tight, load * L, 0.0) * np.sign(U)
+            g_t[:, i] = grad - np.einsum("pm,pm->m", grad, U) * U
+            gnorm[i] = np.linalg.norm(g_t[:, i], axis=0)
+            live[i] = gnorm[i] > 1e-12 * (1.0 + np.abs(f[i]))
+            tries[i] = 0
+        j = np.flatnonzero(live)
+        if j.size == 0:
             break
-        improved = False
-        for _ in range(30):
-            u_try = u - eta * g_t
-            u_try /= np.linalg.norm(u_try)
-            z_try, r_try = solve_inner(u_try, v)
-            f_try = float(z_try @ G @ z_try)
-            if f_try <= f - 1e-4 * eta * gnorm * gnorm:
-                z, r, f = z_try, r_try, f_try
-                eta = min(eta * 1.5, 4.0)
-                improved = True
-                break
-            eta *= 0.5
-            if eta < 1e-16:
-                break
-        if not improved:
-            break
-    return z, f, total_inner, worst_res, inner_ok
+        U_try = Z[:p, j] - eta[j] * g_t[:, j]
+        U_try /= np.linalg.norm(U_try, axis=0)
+        Z_try, r_try = solve_inner(U_try, Z[p:, j])
+        f_try = _quad(G, Z_try)
+        acc = f_try <= f[j] - 1e-4 * eta[j] * gnorm[j] ** 2
+        a, b = j[acc], j[~acc]
+        Z[:, a], r[a], f[a] = Z_try[:, acc], r_try[acc], f_try[acc]
+        eta[a] = np.minimum(eta[a] * 1.5, 4.0)
+        outer[a] += 1
+        eta[b] *= 0.5
+        tries[b] += 1
+        live[b] = (eta[b] >= 1e-16) & (tries[b] < 30)
+        live[a] = outer[a] < max_outer
+        i = a[live[a]]
+    return Z, f, total_inner, worst_res, inner_ok
 
 
 def _grid_directions(p):
@@ -373,22 +387,24 @@ def _grid_directions(p):
 def _gamma_from_directions(G, p, L, U, inner_tol, inner_cap):
     """Mode gamma with cone support == S', from unit cone directions U (one
     per column): a coarse inner sweep over every direction, ranked by the
-    quadratic form; a light polish of the 8 leaders; and a tight joint
-    descent and a full polish of the best of them."""
+    quadratic form; one batched light polish of the 8 leaders; and a tight
+    joint descent and a full polish of the best of them.  The report's
+    iterations add the sweeps of the three batched inner solves, each
+    sweep counted once however many columns it carries."""
     step_inner = _step(G[p:, p:])
     V, total, _, _ = _inner_min(G[p:, p:], G[p:, :p] @ U, L * np.abs(U).sum(axis=0),
                                 step_inner, tol=1e-5, max_iter=5_000)
     Z = np.concatenate([U, V])
     f = _quad(G, Z)
-    light = [_polish_decomposed(G, p, Z[:, i], L, step_inner, _LIGHT_INNER_TOL,
-                                _LIGHT_INNER_CAP, max_outer=10)
-             for i in np.argsort(f, kind="stable")[:8]]
-    best = min(light, key=lambda r: r[1])[0]
-    Z, _, _ = _descend(G, best[:, None], p, slice(None, p), L, _step(G),
+    Zl, fl, its_light, _, _ = _polish_decomposed(
+        G, p, Z[:, np.argsort(f, kind="stable")[:8]], L, step_inner, _LIGHT_INNER_TOL,
+        _LIGHT_INNER_CAP, max_outer=10)
+    Z, _, _ = _descend(G, Zl[:, [int(np.argmin(fl))]], p, slice(None, p), L, _step(G),
                        max_iter=6000, window=100, rtol=1e-14)
-    z, _, its, worst_res, ok = _polish_decomposed(G, p, Z[:, 0], L, step_inner, inner_tol,
+    Z, _, its, worst_res, ok = _polish_decomposed(G, p, Z, L, step_inner, inner_tol,
                                                   inner_cap)
-    report = SolverReport(iterations=total + sum(r[2] for r in light) + its,
+    z = Z[:, 0]
+    report = SolverReport(iterations=total + its_light + its,
                           restarts=U.shape[1], residual=worst_res, converged=ok,
                           spread=float(np.max(f) - np.min(f)))
     return z, report
@@ -429,7 +445,8 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     (method ``exact_svd``).  Mode ``gamma`` with cone support ``S_prime``
     takes unit directions u of the cone block, solves the convex inner
     problem over the off-support l1 ball exactly for each, ranks them by
-    the quadratic form, polishes the 8 best lightly and the winner fully.
+    the quadratic form, polishes the 8 best lightly in one batched polish
+    and the winner fully.
     The two methods differ only in the directions: ``multistart`` uses the
     cone blocks of the restarts (``n_starts`` Gaussian ones and a few
     deterministic ones), ``grid_oracle`` a 2 degree angular grid, which
@@ -676,9 +693,14 @@ def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, 
     Every such pair is admissible for some boundary set (take S equal to the
     first support), so this equals the worst orthogonality constant over the
     whole family of boundary sets of size at least s.  Returns the value and
-    the two supports that attain it.
+    the two supports that attain it.  Raises EnumerationTooLargeError when
+    the C(d, s) * C(d - s, s) / 2 unordered pairs exceed ``DEFAULT_ENUM_CAP``.
     """
     d = X.n_cols
+    n_pairs = comb(d, s) * comb(d - s, s) // 2
+    if n_pairs > DEFAULT_ENUM_CAP:
+        raise EnumerationTooLargeError(
+            f"{n_pairs} disjoint support pairs exceed the cap {DEFAULT_ENUM_CAP}")
     supports = _combinations(range(d), s)
     indicators = np.zeros((supports.shape[0], d))
     np.put_along_axis(indicators, supports, 1.0, axis=1)

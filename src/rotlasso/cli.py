@@ -59,6 +59,13 @@ from .lasso import (
 )
 from .sparsify import maurey_sparsify
 
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _seed_spec(value: int) -> SeedSpec:
     return SeedSpec(int(value))
 
@@ -165,8 +172,8 @@ def _cmd_cert(args) -> int:
         count = partial_rotation_failure_rate(
             regen, S, np.ones(S.size), np.ones(X.n_cols - S.size),
             args.epsilon, args.trials, seed)
-        payload = {"kind": "rot_check", "epsilon": args.epsilon,
-                   "trials": args.trials, "rate": count / args.trials}
+        payload = {"kind": "rot_check", "epsilon": args.epsilon, "trials": args.trials,
+                   "exceedances": count, "rate": count / args.trials}
     _write_json(payload, args.out)
     return 0
 
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("name", choices=list(EXPERIMENT_NAMES) + ["all"])
     e.add_argument("--config", help="experiment config JSON (inline or file)")
     e.add_argument("--out-dir", default="results")
-    e.add_argument("--workers", type=int, default=1)
+    e.add_argument("--workers", type=_positive_int, default=1)
     e.add_argument("--seed", type=int, default=None, help="master seed override")
     e.set_defaults(func=_cmd_exp)
 

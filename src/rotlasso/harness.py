@@ -369,6 +369,8 @@ def _run_task(args):
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ExperimentRow]:
     """Run every (grid point, trial) task and return rows in deterministic order."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(spec, gi, t) for gi, t in _tasks(spec)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

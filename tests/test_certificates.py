@@ -33,10 +33,14 @@ from rotlasso import (
     seeded_stream,
 )
 from rotlasso.certificates import (
+    _LIGHT_INNER_CAP,
+    _LIGHT_INNER_TOL,
     ConeSpec,
+    _polish_decomposed,
     _re_joint,
     _rip_screen_slack,
     _sampled_subsets,
+    _step,
     max_rno_over_disjoint_pairs,
 )
 
@@ -233,6 +237,23 @@ class TestReConstant:
             re_constant(X, ConeSpec(big), big, method="grid_oracle")
 
 
+class TestBatchedPolish:
+    """A block of candidates polished in lockstep against each polished alone."""
+
+    @pytest.mark.parametrize("max_outer", [10, 40])
+    def test_each_column_matches_its_own_polish(self, max_outer):
+        rng = np.random.default_rng(71)
+        for seed, (n, d, p) in enumerate(((20, 12, 2), (30, 20, 3), (25, 30, 4))):
+            X = gaussian_design(n, d, seed=300 + seed)
+            G = X.entries.T @ X.entries / n
+            U = rng.standard_normal((p, 8))
+            Z = np.concatenate([U / np.linalg.norm(U, axis=0), np.zeros((d - p, 8))])
+            args = (1.0, _step(G[p:, p:]), _LIGHT_INNER_TOL, _LIGHT_INNER_CAP, max_outer)
+            _, f, _, _, _ = _polish_decomposed(G, p, Z, *args)
+            alone = [_polish_decomposed(G, p, Z[:, [i]], *args)[1][0] for i in range(8)]
+            assert_allclose(f, alone, rtol=1e-10, atol=0.0)
+
+
 class TestLambdaMin:
     def test_counterexample_identity_gram(self):
         X, S = counterexample_design(100, 10, 6, SeedSpec(3))
@@ -417,7 +438,8 @@ class TestRnoBruteForce:
 
 
 def test_disjoint_pair_enumeration_memory_is_bounded():
-    X = gaussian_design(60, 24, seed=77)
+    # d = 22 has 746,130 unordered pairs, the most at s = 3 under the cap
+    X = gaussian_design(60, 22, seed=77)
     tracemalloc.start()
     try:
         max_rno_over_disjoint_pairs(X, 3)
@@ -425,6 +447,21 @@ def test_disjoint_pair_enumeration_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_disjoint_pair_enumeration_cap_raises_before_building():
+    X = gaussian_design(60, 40, seed=78)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLargeError, match="2691663975"):
+            max_rno_over_disjoint_pairs(X, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # C(24, 3) * C(21, 3) / 2 = 1,345,960 pairs, just over the cap
+    with pytest.raises(EnumerationTooLargeError):
+        max_rno_over_disjoint_pairs(gaussian_design(60, 24, seed=77), 3)
 
 
 class TestRipConstant:

@@ -112,6 +112,8 @@ class TestCert:
                  "--seed", 2, "--out", out])
         rc = json.loads(out.read_text())
         assert rc["rate"] == 0.0
+        assert isinstance(rc["exceedances"], int)
+        assert rc["exceedances"] / rc["trials"] == rc["rate"]
 
 
 class TestSparsifyAndLasso:
@@ -168,3 +170,10 @@ class TestExp:
         a = (tmp_path / "r1" / "sparsify-bound.csv").read_bytes()
         b = (tmp_path / "r2" / "sparsify-bound.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["exp", "sparsify-bound", "--out-dir", tmp_path, "--workers", workers])
+        assert exc.value.code == 2
+        assert not tmp_path.joinpath("sparsify-bound.csv").exists()

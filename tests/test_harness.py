@@ -219,6 +219,12 @@ class TestEmitAndDeterminism:
         for fname in ("counterexample.csv", "counterexample.summary.json"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        spec = mini_spec("sparsify-bound", [{"n": 20, "d": 30, "s": 10}], 1)
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(spec, workers=workers)
+
     def test_master_seed_changes_measurements(self):
         g = [{"n": 30, "d": 40, "s": 10}]
         r1 = run_experiment(mini_spec("sparsify-bound", g, 3, seed=1))

@@ -26,31 +26,38 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
 def project_l1_columns(V: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Project each column of V onto the l1 ball of its own radius.
 
-    Vectorized over columns; columns already inside their ball are copied.
+    Vectorized over columns, with the arithmetic of ``project_l1``.  Most
+    calls from the solvers find every column inside its ball, so that test
+    comes first: such a call costs one reduction and returns a copy, with
+    only radius-0 columns (whose entries are then signed zeros) rewritten as
+    +0.0.  A negative or NaN radius always fails the test, so the radii are
+    validated on the other path only.  There, columns already inside their
+    ball are copied, and the rest go through one batched sort.
     """
     V = np.asarray(V, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
-    if np.any(radii < 0):
-        raise ValueError("radii must be non-negative")
-    q, m = V.shape
     out = V.copy()
-    if q == 0:
-        return out
     a = np.abs(V)
     l1 = a.sum(axis=0)
+    if (l1 <= radii).all():
+        if not radii.all():
+            out[:, radii == 0.0] = 0.0
+        return out
+    if (radii < 0).any():
+        raise ValueError("radii must be non-negative")
     zero = radii == 0.0
     out[:, zero] = 0.0
     need = (~zero) & (l1 > radii)
-    if not np.any(need):
+    if not need.any():
         return out
-    A = a[:, need]
+    # a full slice avoids three gathers when every column needs the sort
+    cols = slice(None) if need.all() else need
+    A, r = a[:, cols], radii[cols]
     U = -np.sort(-A, axis=0)
     css = np.cumsum(U, axis=0)
-    j = np.arange(1, q + 1)[:, None]
+    j = np.arange(1, V.shape[0] + 1)[:, None]
     # the coordinates with U*j > css - r form a prefix; its length is the pivot
-    cond = U * j > (css - radii[need][None, :])
-    rho = cond.sum(axis=0) - 1
-    cols = np.arange(A.shape[1])
-    theta = (css[rho, cols] - radii[need]) / (rho + 1.0)
-    out[:, need] = np.sign(V[:, need]) * np.maximum(A - theta[None, :], 0.0)
+    rho = (U * j > (css - r)).sum(axis=0) - 1
+    theta = (css[rho, np.arange(A.shape[1])] - r) / (rho + 1.0)
+    out[:, cols] = np.sign(V[:, cols]) * np.maximum(A - theta, 0.0)
     return out

@@ -184,22 +184,24 @@ def _inner_min(G, B, radii, step, v0=None, tol=1e-9, max_iter=100_000, check_eve
         restart = np.einsum("qm,qm->m", W - V_new, dv) > 0.0
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_new
-        mom[restart] = 0.0
-        t_new[restart] = 1.0
+        if restart.any():
+            mom[restart] = 0.0
+            t_new[restart] = 1.0
         W = V_new + mom * dv
         V = V_new
         t = t_new
         it += 1
         if it % check_every == 0 or it >= max_iter:
             g = 2.0 * (Ba + G @ V)
-            P = project_l1_columns(V - step * g, ra)
-            res = np.linalg.norm(P - V, axis=0) / (1.0 + np.linalg.norm(V, axis=0))
-            done = res <= tol
+            res = (_col_norms(project_l1_columns(V - step * g, ra) - V)
+                   / (1.0 + _col_norms(V)))
+            keep = ~(res <= tol)  # not converged; a NaN residual counts as such
+            worst = float(res[keep].max() if keep.any() else res.max())
+            if keep.all():
+                continue
             out[:, active] = V
-            worst = float(np.max(res[~done])) if np.any(~done) else float(np.max(res))
-            if np.all(done):
+            if not keep.any():
                 return out, it, worst, True
-            keep = ~done
             active = active[keep]
             V, W, t = V[:, keep], W[:, keep], t[keep]
             Ba, ra = Ba[:, keep], ra[keep]
@@ -220,6 +222,11 @@ def _quad(G, Z):
     return np.einsum("dm,dm->m", Z, G @ Z)
 
 
+def _col_norms(Z):
+    """np.linalg.norm(Z, axis=0) by numpy's own formula, without its dispatch."""
+    return np.sqrt((Z * Z).sum(axis=0))
+
+
 def _step(G):
     """1 / (2 lambda_max(G)), the inverse Lipschitz constant of z -> 2 G z."""
     return 1.0 / max(2.0 * float(np.linalg.eigvalsh(G)[-1]), 1e-300)
@@ -230,11 +237,13 @@ def _feasible(G, Z, p, den, L):
     L ||z[:p]||_1 and rescale so that ||z_den|| = 1, in place.  Returns
     (Z, G Z, rho) with rho = inf where the denominator vanishes."""
     Z[p:] = project_l1_columns(Z[p:], L * np.abs(Z[:p]).sum(axis=0))
-    dn = np.linalg.norm(Z[den], axis=0)
+    dn = _col_norms(Z[den])
     alive = dn > 1e-300
-    Z /= np.where(alive, dn, 1.0)
+    every = alive.all()
+    Z /= dn if every else np.where(alive, dn, 1.0)
     GZ = G @ Z
-    return Z, GZ, np.where(alive, np.einsum("dm,dm->m", Z, GZ), np.inf)
+    rho = np.einsum("dm,dm->m", Z, GZ)
+    return Z, GZ, rho if every else np.where(alive, rho, np.inf)
 
 
 def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
@@ -258,10 +267,14 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
         grad[den] -= 2.0 * rho * Z[den]
         Z1, GZ1, rho1 = _feasible(G, Z - eta * grad, p, den, L)
         accept = rho1 <= rho + 1e-15
-        eta = np.where(accept, np.minimum(eta * 1.02, step0 * 64.0), eta * 0.5)
-        Z = np.where(accept, Z1, Z)
-        GZ = np.where(accept, GZ1, GZ)
-        rho = np.where(accept, rho1, rho)
+        if accept.all():
+            eta = np.minimum(eta * 1.02, step0 * 64.0)
+            Z, GZ, rho = Z1, GZ1, rho1
+        else:
+            eta = np.where(accept, np.minimum(eta * 1.02, step0 * 64.0), eta * 0.5)
+            Z = np.where(accept, Z1, Z)
+            GZ = np.where(accept, GZ1, GZ)
+            rho = np.where(accept, rho1, rho)
         it += 1
         if it % window == 0:
             rel = (rho_window - rho) / np.maximum(np.abs(rho_window), 1e-300)
@@ -345,14 +358,14 @@ def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=4
             load = np.einsum("qm,qm->m", GZ[p:], V / np.where(tight, ri, 1.0))
             grad = GZ[:p] + np.where(tight, load * L, 0.0) * np.sign(U)
             g_t[:, i] = grad - np.einsum("pm,pm->m", grad, U) * U
-            gnorm[i] = np.linalg.norm(g_t[:, i], axis=0)
+            gnorm[i] = _col_norms(g_t[:, i])
             live[i] = gnorm[i] > 1e-12 * (1.0 + np.abs(f[i]))
             tries[i] = 0
         j = np.flatnonzero(live)
         if j.size == 0:
             break
         U_try = Z[:p, j] - eta[j] * g_t[:, j]
-        U_try /= np.linalg.norm(U_try, axis=0)
+        U_try /= _col_norms(U_try)
         Z_try, r_try = solve_inner(U_try, Z[p:, j])
         f_try = _quad(G, Z_try)
         acc = f_try <= f[j] - 1e-4 * eta[j] * gnorm[j] ** 2
@@ -693,10 +706,14 @@ def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, 
     Every such pair is admissible for some boundary set (take S equal to the
     first support), so this equals the worst orthogonality constant over the
     whole family of boundary sets of size at least s.  Returns the value and
-    the two supports that attain it.  Raises EnumerationTooLargeError when
-    the C(d, s) * C(d - s, s) / 2 unordered pairs exceed ``DEFAULT_ENUM_CAP``.
+    the two supports that attain it.  Raises ValueError unless
+    1 <= s <= d / 2, the sizes that have a disjoint pair, and
+    EnumerationTooLargeError when the C(d, s) * C(d - s, s) / 2 unordered
+    pairs exceed ``DEFAULT_ENUM_CAP``.
     """
     d = X.n_cols
+    if not 1 <= s <= d // 2:
+        raise ValueError(f"need 1 <= s <= d/2 for a disjoint pair, got s={s}, d={d}")
     n_pairs = comb(d, s) * comb(d - s, s) // 2
     if n_pairs > DEFAULT_ENUM_CAP:
         raise EnumerationTooLargeError(

@@ -36,6 +36,7 @@ from rotlasso.certificates import (
     _LIGHT_INNER_CAP,
     _LIGHT_INNER_TOL,
     ConeSpec,
+    _descend,
     _polish_decomposed,
     _re_joint,
     _rip_screen_slack,
@@ -254,6 +255,27 @@ class TestBatchedPolish:
             assert_allclose(f, alone, rtol=1e-10, atol=0.0)
 
 
+class TestBatchedDescent:
+    """A block of starts descended together against each start descended alone."""
+
+    @pytest.mark.parametrize("den", ["cone", "subset", "all"])
+    def test_each_column_follows_its_own_path(self, den):
+        rng = np.random.default_rng(83)
+        for seed, (n, d, p) in enumerate(((20, 12, 2), (30, 20, 3))):
+            X = gaussian_design(n, d, seed=400 + seed)
+            G = X.entries.T @ X.entries / n
+            rows = {"cone": slice(None, p), "subset": np.arange(p - 1), "all": slice(None)}[den]
+            Z = rng.standard_normal((d, 6))
+            Z[:p, 2] = 0.0  # a vanishing denominator: this start is dropped
+            # a step 8 times the safe one makes some columns reject steps
+            args = (p, rows, 1.0, 8.0 * _step(G), 300, 10_000, 0.0)
+            _, rho, its = _descend(G, Z.copy(), *args)
+            alone = [_descend(G, Z[:, [c]].copy(), *args)[1] for c in (0, 1, 3, 4, 5)]
+            assert its == 300
+            assert rho.shape == (5,) and _descend(G, Z[:, [2]].copy(), *args)[1].size == 0
+            assert_allclose(rho, np.concatenate(alone), rtol=1e-12, atol=0.0)
+
+
 class TestLambdaMin:
     def test_counterexample_identity_gram(self):
         X, S = counterexample_design(100, 10, 6, SeedSpec(3))
@@ -428,6 +450,11 @@ class TestRnoBruteForce:
                 Sa, Sb = cert.witness
                 assert S.contains(Sa) and comp.contains(Sb) and Sa.size == Sb.size == s
                 assert rno_fixed_supports(X, S, Sa, Sb) == pytest.approx(cert.value, abs=1e-12)
+
+    @pytest.mark.parametrize("d, s", [(5, 3), (10, 6), (10, 0), (10, -1)])
+    def test_disjoint_pairs_reject_sizes_without_a_pair(self, d, s):
+        with pytest.raises(ValueError, match="d/2"):
+            max_rno_over_disjoint_pairs(gaussian_design(10, d, seed=1), s)
 
     def test_duplicated_column_ties_at_one(self):
         X = _oracle_designs()[1]

@@ -30,8 +30,9 @@ def project_l1_columns(V: np.ndarray, radii: np.ndarray) -> np.ndarray:
     calls from the solvers find every column inside its ball, so that test
     comes first: such a call costs one reduction and returns a copy, with
     only radius-0 columns (whose entries are then signed zeros) rewritten as
-    +0.0.  A negative or NaN radius always fails the test, so the radii are
-    validated on the other path only.  There, columns already inside their
+    +0.0.  A negative radius always fails the test, so the radii are
+    validated on the other path only; a NaN radius is not rejected and
+    leaves its column unchanged.  On that path, columns already inside their
     ball are copied, and the rest go through one batched sort.
     """
     V = np.asarray(V, dtype=np.float64)
@@ -50,14 +51,12 @@ def project_l1_columns(V: np.ndarray, radii: np.ndarray) -> np.ndarray:
     need = (~zero) & (l1 > radii)
     if not need.any():
         return out
-    # a full slice avoids three gathers when every column needs the sort
-    cols = slice(None) if need.all() else need
-    A, r = a[:, cols], radii[cols]
+    A, r = a[:, need], radii[need]
     U = -np.sort(-A, axis=0)
     css = np.cumsum(U, axis=0)
     j = np.arange(1, V.shape[0] + 1)[:, None]
     # the coordinates with U*j > css - r form a prefix; its length is the pivot
     rho = (U * j > (css - r)).sum(axis=0) - 1
     theta = (css[rho, np.arange(A.shape[1])] - r) / (rho + 1.0)
-    out[:, cols] = np.sign(V[:, cols]) * np.maximum(A - theta, 0.0)
+    out[:, need] = np.sign(V[:, need]) * np.maximum(A - theta, 0.0)
     return out

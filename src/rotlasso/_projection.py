@@ -7,8 +7,8 @@ import numpy as np
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of v onto {w : ||w||_1 <= radius}."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    if not radius >= 0:
+        raise ValueError("radius must be non-negative, not NaN")
     v = np.asarray(v, dtype=np.float64)
     if radius == 0.0:
         return np.zeros_like(v)
@@ -30,10 +30,9 @@ def project_l1_columns(V: np.ndarray, radii: np.ndarray) -> np.ndarray:
     calls from the solvers find every column inside its ball, so that test
     comes first: such a call costs one reduction and returns a copy, with
     only radius-0 columns (whose entries are then signed zeros) rewritten as
-    +0.0.  A negative radius always fails the test, so the radii are
-    validated on the other path only; a NaN radius is not rejected and
-    leaves its column unchanged.  On that path, columns already inside their
-    ball are copied, and the rest go through one batched sort.
+    +0.0.  A negative or NaN radius always fails the test, so the radii are
+    validated on the other path only.  On that path, columns already inside
+    their ball are copied, and the rest go through one batched sort.
     """
     V = np.asarray(V, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
@@ -44,8 +43,8 @@ def project_l1_columns(V: np.ndarray, radii: np.ndarray) -> np.ndarray:
         if not radii.all():
             out[:, radii == 0.0] = 0.0
         return out
-    if (radii < 0).any():
-        raise ValueError("radii must be non-negative")
+    if not (radii >= 0).all():
+        raise ValueError("radii must be non-negative, not NaN")
     zero = radii == 0.0
     out[:, zero] = 0.0
     need = (~zero) & (l1 > radii)

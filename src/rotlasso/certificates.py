@@ -856,8 +856,8 @@ def partial_rotation_failure_rate(regenerate, S: SupportSet, alpha, beta,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be non-negative, not NaN")
     comp = S.complement()
     a = alpha.to_dense() if isinstance(alpha, SparseVector) else np.asarray(alpha, float)
     b = beta.to_dense() if isinstance(beta, SparseVector) else np.asarray(beta, float)

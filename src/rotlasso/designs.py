@@ -23,6 +23,8 @@ HAAR_ORTHOGONAL = "haar_orthogonal"
 GAUSSIAN_IID = "gaussian_iid"
 RADEMACHER_IID = "rademacher_iid"
 _ROTATION_VARIANTS = (HAAR_ORTHOGONAL, GAUSSIAN_IID, RADEMACHER_IID)
+# Householder reflectors applied together per block in the Haar sampler
+_HAAR_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -67,22 +69,51 @@ ROTATIONS = {
 def sample_rotation(kind: RotationKind, n: int, seed: SeedSpec) -> np.ndarray:
     """Draw one n x n rotation matrix of the given kind.
 
-    Haar sampling is QR of an i.i.d. Gaussian matrix with the sign of each
-    diagonal entry of R folded into the corresponding column of Q; plain QR of
-    a Gaussian matrix is not Haar distributed.
+    Haar sampling skips the QR of an i.i.d. Gaussian matrix and draws the
+    Householder vectors that QR would compute: they are independent Gaussian
+    vectors x_k of length n - k (Stewart 1980), n(n+1)/2 normals in all.
+    With beta_k = -sign(x_k[0]) ||x_k||, the k-th diagonal entry of R, the
+    reflectors along v_k = x_k - beta_k e_1 give Q = H_0 ... H_{n-1}, and
+    folding sign(beta_k) into column k makes it Haar (Mezzadri 2007); plain QR
+    of a Gaussian matrix is not Haar distributed.  The law is exactly that of
+    the sign-fixed QR of a Gaussian matrix, at half its flops.
     """
     if n < 1:
         raise ValueError("n must be positive")
     rng = seeded_stream(seed)
     if kind.variant == HAAR_ORTHOGONAL:
-        A = rng.standard_normal((n, n))
-        Q, R = np.linalg.qr(A)
-        signs = np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
-        return Q * signs
+        return _householder_haar(rng, n)
     if kind.variant == GAUSSIAN_IID:
         return kind.sigma * rng.standard_normal((n, n))
     # rademacher
     return kind.sigma * (2.0 * rng.integers(0, 2, size=(n, n)).astype(np.float64) - 1.0)
+
+
+def _householder_haar(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Sign-fixed H_0 ... H_{n-1} of ``sample_rotation``, accumulated backward.
+
+    Each panel of ``_HAAR_PANEL`` reflectors is applied at once in the
+    compact-WY form I - V T V^T, where T^{-1} = striu(V^T V) + diag(||v||^2 / 2).
+    """
+    V = np.zeros((n, n))
+    # column k of the lower triangle takes the next n - k draws, from row k down
+    V.T[~np.tri(n, n, -1, dtype=bool)] = rng.standard_normal(n * (n + 1) // 2)
+    signs = np.where(V.diagonal() < 0.0, 1.0, -1.0)  # sign(beta_k)
+    V.flat[::n + 1] -= signs * np.sqrt(np.einsum("ij,ij->j", V, V))
+    Q = np.eye(n)
+    for j in range((n - 1) // _HAAR_PANEL * _HAAR_PANEL, -1, -_HAAR_PANEL):
+        Vp = V[j:, j:j + _HAAR_PANEL]
+        b = Vp.shape[1]
+        G = Vp.T @ Vp
+        Tinv = np.triu(G)
+        np.fill_diagonal(Tinv, 0.5 * G.diagonal())
+        # the later panels left Q[j:, j:] = diag(I_b, Q[j+b:, j+b:]), so V^T Q
+        # needs a product with the trailing block only
+        W = np.empty((b, n - j))
+        W[:, :b] = Vp[:b].T
+        W[:, b:] = Vp[b:].T @ Q[j + b:, j + b:]
+        Q[j:, j:] -= Vp @ (np.linalg.inv(Tinv) @ W)
+    return Q * signs
 
 
 def _rescale_to_sqrt_n(cols: np.ndarray, n: int) -> np.ndarray:

@@ -85,8 +85,8 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     fixed-point residual is negligible); hitting ``LASSO_MAX_ITER`` flags the
     solution as not converged but it remains feasible.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    if not radius >= 0:
+        raise ValueError("radius must be non-negative, not NaN")
     X = instance.X.entries
     y = instance.y
     if radius == 0.0:

@@ -631,6 +631,13 @@ class TestPartialRotationFailureRate:
         assert isinstance(count, int)
         assert count <= 2
 
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan")])
+    def test_bad_epsilon_rejected(self, epsilon):
+        X, S, alpha, beta = self._setup()
+        regen = lambda sd: partially_rotate(X, S, RotationKind.haar(), sd)
+        with pytest.raises(ValueError):
+            partial_rotation_failure_rate(regen, S, alpha, beta, epsilon, 5, SeedSpec(9))
+
     def test_determinism(self):
         X, S, alpha, beta = self._setup()
         regen = lambda sd: partially_rotate(X, S, RotationKind.gaussian(), sd)

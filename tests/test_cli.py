@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rotlasso
 from rotlasso import read_design, read_support
 from rotlasso.cli import main
 
@@ -115,6 +119,14 @@ class TestCert:
         assert isinstance(rc["exceedances"], int)
         assert rc["exceedances"] / rc["trials"] == rc["rate"]
 
+    def test_rot_check_rejects_nan_epsilon(self, stored_design, tmp_path):
+        out = tmp_path / "rc.json"
+        with pytest.raises(ValueError):
+            run_cli(["cert", "--what", "rot-check", "--matrix", stored_design,
+                     "--support", '[0, 1, 2, 3]', "--epsilon", "nan", "--trials", 5,
+                     "--out", out])
+        assert not out.exists()
+
 
 class TestSparsifyAndLasso:
     def test_sparsify_json(self, tmp_path):
@@ -151,6 +163,15 @@ class TestSparsifyAndLasso:
         with pytest.raises(SystemExit):
             run_cli(["lasso", "--matrix", out, "--y", y])
 
+    def test_lasso_rejects_nan_radius(self, tmp_path):
+        out = tmp_path / "m"
+        run_cli(["gen", "--kind", "correlated", "--n", 10, "--d", 4, "--k", 1,
+                 "--seed", 1, "--out", out])
+        beta = '{"dim": 4, "terms": [[0, 1.0]]}'
+        with pytest.raises(ValueError):
+            run_cli(["lasso", "--matrix", out, "--y", "synthesize", "--beta", beta,
+                     "--radius", "nan", "--out", tmp_path / "sol.json"])
+
 
 class TestExp:
     def test_exp_with_inline_config(self, tmp_path):
@@ -177,3 +198,15 @@ class TestExp:
             run_cli(["exp", "sparsify-bound", "--out-dir", tmp_path, "--workers", workers])
         assert exc.value.code == 2
         assert not tmp_path.joinpath("sparsify-bound.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the package runs on numpy alone; scipy is a test-only dependency
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rotlasso.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, rotlasso.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "[]"

@@ -28,9 +28,34 @@ def column_norms(X):
 
 class TestSampleRotation:
     def test_haar_is_orthogonal(self):
-        for sid in range(5):
-            R = sample_rotation(RotationKind.haar(), 12, SeedSpec(3, sid))
-            assert np.max(np.abs(R.T @ R - np.eye(12))) <= 1e-10
+        # one panel of reflectors, several, and a ragged last panel
+        for n in (1, 2, 31, 32, 33, 65, 100, 400):
+            for sid in range(3):
+                R = sample_rotation(RotationKind.haar(), n, SeedSpec(3, sid))
+                assert R.shape == (n, n)
+                assert np.linalg.norm(R.T @ R - np.eye(n)) <= 1e-10
+
+    @pytest.mark.parametrize("n,trials", [(3, 20_000), (40, 4_000)])
+    def test_haar_whole_matrix_law(self, n, trials):
+        # exact for Haar on O(n): P(det Q > 0) = 1/2, E tr Q = 0, E (tr Q)^2 = 1;
+        # n=40 runs a full panel of reflectors and a ragged one
+        tr = np.empty(trials)
+        det_pos = 0
+        for t in range(trials):
+            Q = sample_rotation(RotationKind.haar(), n, SeedSpec(71, n).substream(t))
+            tr[t] = np.trace(Q)
+            det_pos += np.linalg.slogdet(Q)[0] > 0
+        assert abs(det_pos / trials - 0.5) <= 5.0 * 0.5 / math.sqrt(trials)
+        assert abs(tr.mean()) <= 5.0 / math.sqrt(trials)
+        # Var (tr Q)^2 is about 2 (E (tr Q)^4 = 3 once n >= 4)
+        assert abs((tr ** 2).mean() - 1.0) <= 5.0 * math.sqrt(2.0 / trials)
+
+    def test_haar_determinism(self):
+        for n in (5, 40):
+            R1 = sample_rotation(RotationKind.haar(), n, SeedSpec(5, 2))
+            R2 = sample_rotation(RotationKind.haar(), n, SeedSpec(5, 2))
+            assert_array_equal(R1, R2)
+            assert not np.array_equal(R1, sample_rotation(RotationKind.haar(), n, SeedSpec(5, 3)))
 
     def test_haar_uniform_sphere_moments(self):
         # rotate one fixed unit vector many times; coordinates of the image

@@ -145,6 +145,13 @@ class TestLassoConstrained:
         assert_array_equal(sol.beta_hat, np.zeros(3))
         assert sol.objective == pytest.approx(float(inst.y @ inst.y), rel=1e-12)
 
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_bad_radius_rejected(self, radius):
+        X = gaussian_design(10, 3, seed=9)
+        inst = synth_response(X, SparseVector(3, ((0, 1.0),)), 0.1, SeedSpec(2))
+        with pytest.raises(ValueError):
+            lasso_constrained(inst, radius)
+
     def test_feasibility_and_monotone_trace(self):
         X = gaussian_design(30, 12, seed=11)
         beta = SparseVector(12, ((0, 1.0), (5, -1.0), (9, 0.5)))

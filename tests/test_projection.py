@@ -53,3 +53,14 @@ def test_does_not_alias_input():
 def test_negative_radius_raises(V):
     with pytest.raises(ValueError):
         project_l1_columns(V, np.array([1.0, -1.0]))
+
+
+def test_nan_radius_raises():
+    with pytest.raises(ValueError):
+        project_l1(np.ones(3), float("nan"))
+
+
+@pytest.mark.parametrize("V", [np.zeros((3, 2)), np.ones((3, 2)), np.zeros((0, 2))])
+def test_nan_radius_raises_columns(V):
+    with pytest.raises(ValueError):
+        project_l1_columns(V, np.array([1.0, np.nan]))

@@ -23,7 +23,8 @@ HAAR_ORTHOGONAL = "haar_orthogonal"
 GAUSSIAN_IID = "gaussian_iid"
 RADEMACHER_IID = "rademacher_iid"
 _ROTATION_VARIANTS = (HAAR_ORTHOGONAL, GAUSSIAN_IID, RADEMACHER_IID)
-# Householder reflectors applied together per block in the Haar sampler
+# Householder reflectors the Haar sampler applies as one block; of widths
+# 16 to 64, 32 was fastest at both n=100 and n=400
 _HAAR_PANEL = 32
 
 
@@ -69,14 +70,14 @@ ROTATIONS = {
 def sample_rotation(kind: RotationKind, n: int, seed: SeedSpec) -> np.ndarray:
     """Draw one n x n rotation matrix of the given kind.
 
-    Haar sampling skips the QR of an i.i.d. Gaussian matrix and draws the
-    Householder vectors that QR would compute: they are independent Gaussian
-    vectors x_k of length n - k (Stewart 1980), n(n+1)/2 normals in all.
-    With beta_k = -sign(x_k[0]) ||x_k||, the k-th diagonal entry of R, the
-    reflectors along v_k = x_k - beta_k e_1 give Q = H_0 ... H_{n-1}, and
-    folding sign(beta_k) into column k makes it Haar (Mezzadri 2007); plain QR
-    of a Gaussian matrix is not Haar distributed.  The law is exactly that of
-    the sign-fixed QR of a Gaussian matrix, at half its flops.
+    Haar sampling draws the Householder vectors of the QR of an n x n Gaussian
+    matrix directly, as independent Gaussian vectors x_k of length n - k
+    (Stewart 1980): n(n+1)/2 normals and no QR.  With beta_k = -sign(x_k[0])
+    ||x_k||, the k-th diagonal entry of R, the reflectors along
+    v_k = x_k - beta_k e_1 give that QR's Q = H_0 ... H_{n-1}.  Plain Q is not
+    Haar distributed; folding sign(beta_k) into column k makes it so (Mezzadri
+    2007).  The result has exactly the law of the sign-fixed QR, at half its
+    flops.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -78,6 +78,20 @@ def _load_json_arg(value: str) -> dict:
     return json.loads(text)
 
 
+def _exp_config(value: str) -> dict:
+    """An experiment config (inline JSON or a file) holding a grid and a trial count."""
+    try:
+        config = _load_json_arg(value)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read config: {exc}") from None
+    if not isinstance(config, dict):
+        raise argparse.ArgumentTypeError("config must be a JSON object")
+    missing = [key for key in ("grid", "trials") if key not in config]
+    if missing:
+        raise argparse.ArgumentTypeError(f"config lacks {' and '.join(map(repr, missing))}")
+    return config
+
+
 def _load_support(value: str, dim: int) -> SupportSet:
     data = _load_json_arg(value)
     if isinstance(data, list):
@@ -213,6 +227,7 @@ def _cmd_lasso(args) -> int:
         "radius": radius,
         "converged": sol.converged,
         "iterations": sol.iterations,
+        "fixed_point_residual": sol.fixed_point_residual,
     }
     if beta_true is not None:
         payload["prediction_error"] = prediction_error(X, sol.beta_hat, beta_true)
@@ -224,13 +239,9 @@ def _cmd_lasso(args) -> int:
 
 def _cmd_exp(args) -> int:
     names = list(EXPERIMENT_NAMES) if args.name == "all" else [args.name]
-    config = _load_json_arg(args.config) if args.config else None
     ok = True
     for name in names:
-        if config is not None and len(names) == 1:
-            cfg = dict(config)
-        else:
-            cfg = dict(DEFAULT_CONFIGS[name])
+        cfg = args.config if args.config is not None else DEFAULT_CONFIGS[name]
         spec = ExperimentSpec(
             name=name,
             grid=tuple(cfg["grid"]),
@@ -311,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("exp", help="run a named experiment (or 'all')")
     e.add_argument("name", choices=list(EXPERIMENT_NAMES) + ["all"])
-    e.add_argument("--config", help="experiment config JSON (inline or file)")
+    e.add_argument("--config", type=_exp_config,
+                   help="experiment config JSON (inline or file) with 'grid' and 'trials'; "
+                        "one experiment only")
     e.add_argument("--out-dir", default="results")
     e.add_argument("--workers", type=_positive_int, default=1)
     e.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -321,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "exp" and args.name == "all" and args.config is not None:
+        parser.error("--config applies to one experiment, not to 'all'")
     return args.func(args)
 
 

@@ -139,8 +139,8 @@ class ExperimentSpec:
             n, d, k = g.get("n", 1), g.get("d", 1), g.get("k", 1)
             if min(n, d, k) < 1 or k > d:
                 raise ValueError(f"inconsistent grid point {g}")
-            if g.get("sigma", 0.0) < 0:
-                raise ValueError("sigma must be non-negative")
+            if not g.get("sigma", 0.0) >= 0:
+                raise ValueError("sigma must be non-negative, not NaN")
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "grid": list(self.grid), "trials": self.trials,

@@ -151,6 +151,8 @@ class TestSparsifyAndLasso:
                  "--sigma", 0.0, "--seed", 4, "--out", res])
         sol = json.loads(res.read_text())
         assert sol["converged"]
+        # the length of the solver's last projected-gradient step, as the converged rule reads it
+        assert 0.0 <= sol["fixed_point_residual"] <= 1e-6 * (1.0 + np.linalg.norm(sol["beta_hat"]))
         assert sol["prediction_error"] <= 1e-8
         assert sol["parameter_errors"]["l1"] >= 0.0
 
@@ -172,6 +174,16 @@ class TestSparsifyAndLasso:
             run_cli(["lasso", "--matrix", out, "--y", "synthesize", "--beta", beta,
                      "--radius", "nan", "--out", tmp_path / "sol.json"])
 
+    def test_lasso_rejects_nan_sigma(self, tmp_path):
+        out = tmp_path / "m"
+        run_cli(["gen", "--kind", "correlated", "--n", 10, "--d", 4, "--k", 1,
+                 "--seed", 1, "--out", out])
+        beta = '{"dim": 4, "terms": [[0, 1.0]]}'
+        with pytest.raises(ValueError, match="sigma"):
+            run_cli(["lasso", "--matrix", out, "--y", "synthesize", "--beta", beta,
+                     "--sigma", "nan", "--out", tmp_path / "sol.json"])
+        assert not (tmp_path / "sol.json").exists()
+
 
 class TestExp:
     def test_exp_with_inline_config(self, tmp_path):
@@ -191,6 +203,28 @@ class TestExp:
         a = (tmp_path / "r1" / "sparsify-bound.csv").read_bytes()
         b = (tmp_path / "r2" / "sparsify-bound.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("config, problem", [
+        ('{"trials": 1}', "'grid'"),
+        ('{"grid": [{"n": 20, "d": 30, "s": 10}]}', "'trials'"),
+        ('{}', "'grid' and 'trials'"),
+        ('[1, 2]', "JSON object"),
+        ('{"grid": ', "cannot read config"),
+    ])
+    def test_config_without_grid_or_trials_rejected(self, config, problem, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["exp", "sparsify-bound", "--config", config, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert problem in capsys.readouterr().err
+        assert not tmp_path.joinpath("sparsify-bound.csv").exists()
+
+    def test_config_with_all_rejected(self, tmp_path, capsys):
+        cfg = json.dumps({"grid": [{"n": 20, "d": 30, "s": 10}], "trials": 1})
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["exp", "all", "--config", cfg, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert "not to 'all'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers, tmp_path):

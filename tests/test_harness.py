@@ -52,6 +52,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="allowed keys"):
             ExperimentSpec(name=name, grid=(point,), trials=1, master_seed=0)
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            ExperimentSpec(name="lasso-rate", grid=({"n": 60, "d": 24, "k": 2, "sigma": sigma},),
+                           trials=1, master_seed=0)
+
     def test_benchmark_grids_validate(self):
         path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
         loader = importlib.util.spec_from_file_location("bench_run", path)

@@ -13,6 +13,7 @@ from rotlasso import (
     SparseVector,
     SupportSet,
     lasso_constrained,
+    normalize_columns,
     parameter_errors,
     prediction_error,
     project_l1_ball,
@@ -93,7 +94,6 @@ def oracle_solves():
     """60 seeded solves: tall (60 x 20), wide (50 x 400 and 40 x 80) and
     duplicated-column (30 x 12) designs, each at radii ||beta||_1, half and a
     fifth of it."""
-    from rotlasso import normalize_columns
     solves = []
     for i in range(60):
         kind = i % 4

@@ -666,6 +666,8 @@ def rno_constant(X: DesignMatrix, S: SupportSet, s: int,
     if not 1 <= s <= min(S.size, comp.size):
         raise ValueError(f"need 1 <= s <= min(|S|, |S^c|), got s={s}")
     n_pairs = comb(S.size, s) * comb(comp.size, s)
+    if sample_pairs is not None and sample_pairs < 1:
+        raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
     if sample_pairs is None:
         if n_pairs > cap:
             raise EnumerationTooLargeError(
@@ -745,12 +747,74 @@ def _rip_screen_slack(G, n, s):
     deviation, by at most that much, eps_svd.  A screened deviation is so
     within sqrt(eps_lam) + eps_svd of the SVD's, and the support that wins
     by SVD screens within twice that of the best screened value.
+    ``_rip_clear_margin`` extends the eigenvalue bound to the Cholesky test
+    that clears supports before they are screened.
     """
     u = np.finfo(float).eps / 2
     scale = s * max(float(G.diagonal().max()), 1.0)
     eps_lam = 4.0 * (n + s) * u * scale
     eps_svd = 4.0 * (n + s) * u * math.sqrt(scale)
     return 2.0 * (math.sqrt(eps_lam) + eps_svd)
+
+
+def _rip_clear_margin(G, n, s):
+    """How far below the screen's recheck floor a Cholesky clearance stays.
+
+    With u, c and eps_lam as in ``_rip_screen_slack``, let scale = s*c and
+    run the two factorisations of ``_rip_cleared`` on the very block G_S
+    that eigvalsh screens, at a threshold tau > 0.  They factor
+    A = G_S - a*I and A = b*I - G_S, with a = max(1 - tau, 0)^2 <= 1 and
+    b = (1 + tau)^2 <= 4*scale (tau lies below a screened deviation, at most
+    about max(1, sqrt(scale))).  So A's diagonal is at most 4*scale in size,
+    forming it rounds by at most 4*u*scale, and trace(A) <= 4*s*scale.  A
+    factorisation that completes gives A + dA = R^T R with
+    |dA| <= gamma_{s+1}*|R^T||R| whatever order its sums take (Higham 2002,
+    Thm 10.3 and 10.5; Demmel 1989), hence
+    ||dA|| <= gamma_{s+1}*||R||_F^2 = gamma_{s+1}*trace(A + dA), at most
+    about (s + 1)*u*trace(A).  As R^T R is positive definite, G_S lies within
+    eps_chol = 4*(s + 1)^2*u*scale of passing: lambda_min(G_S) > a - eps_chol
+    and lambda_max(G_S) < b + eps_chol.  eigvalsh moves each by at most
+    eps_lam/4 (eps_lam carries a factor 4 of headroom), and by the
+    square-root inequality of ``_rip_screen_slack``, with 1 - sqrt(a) <= tau
+    and sqrt(b) - 1 = tau, both terms of the screened deviation lie below
+    tau + sqrt(eps_chol + eps_lam/4).  The margin is four times that root.
+    A support cleared at tau = best - slack - margin thus screens below
+    best - slack - 3*margin/4, outside the recheck set, and the excess covers
+    the rounding of tau, a and b.
+    """
+    u = np.finfo(float).eps / 2
+    scale = s * max(float(G.diagonal().max()), 1.0)
+    return 4.0 * math.sqrt(u * scale * (n + s + 4 * (s + 1) ** 2))
+
+
+def _rip_cleared(B, tau):
+    """Which blocks B[:, :, i] Cholesky puts strictly inside ((1 - tau)^2, (1 + tau)^2).
+
+    Factors B - max(1 - tau, 0)^2 I and (1 + tau)^2 I - B, for all blocks
+    at once in an entry-major (s, s, 2, m) layout and on the lower triangle
+    only, and reports the blocks whose pivots all stay positive in both.
+    A block that fails keeps a pivot of 1 from then on, so its arithmetic
+    stays finite.
+    """
+    k, _, m = B.shape
+    eye = np.eye(k)[:, :, None]
+    A = np.empty((k, k, 2, m))
+    np.subtract(B, max(1.0 - tau, 0.0) ** 2 * eye, out=A[:, :, 0])
+    np.subtract((1.0 + tau) ** 2 * eye, B, out=A[:, :, 1])
+    ok = np.ones((2, m), dtype=bool)
+    for j in range(k):
+        piv = A[j, j]
+        ok &= piv > 0.0
+        col = A[j + 1:, j] / np.sqrt(np.where(ok, piv, 1.0))
+        for i in range(j + 1, k):
+            A[i, j + 1:i + 1] -= col[i - j - 1] * col[:i - j]
+    return ok.all(axis=0)
+
+
+def _rip_screened(G, T):
+    """Deviation of each support (row of T) from the end eigenvalues of its Gram block."""
+    lam = np.linalg.eigvalsh(G[T[:, :, None], T[:, None, :]])
+    return np.maximum(1.0 - np.sqrt(np.maximum(lam[:, 0], 0.0)), np.sqrt(lam[:, -1]) - 1.0)
 
 
 def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
@@ -762,18 +826,29 @@ def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
     divided by sqrt(n)); the value is max(1 - sigma_min, sigma_max - 1) over
     supports of size exactly s, which dominates all smaller supports.
 
-    A screen reads every support's deviation from the end eigenvalues of its
+    A screen reads a support's deviation from the end eigenvalues of its
     s x s block of G = E^T E.  Every support whose screened deviation lies
     within a rounding slack of the best (``_rip_screen_slack``) is then
     rechecked by the SVD of its n x s columns, and the value and witness (the
     first maximiser in enumeration order) come from those SVDs, so they equal
     an SVD of every support.  The report's residual is the largest gap
     between a screened and a rechecked deviation, at most half the slack.
+
+    Most supports never reach the screen.  Chunk by chunk, the 8 blocks
+    farthest from I in Frobenius norm are screened first; then, with best the
+    largest deviation screened so far, two Cholesky factorisations
+    (``_rip_cleared``) at tau = best - slack - margin clear every block whose
+    eigenvalues they place inside ((1 - tau)^2, (1 + tau)^2).  The margin
+    (``_rip_clear_margin``) bounds the Cholesky and eigvalsh rounding, so a
+    cleared support screens below best - slack, outside the recheck set,
+    and skipping its screen changes no output.  The other blocks are screened.
     """
     d = X_unit.n_cols
     if not 1 <= s <= d:
         raise ValueError(f"need 1 <= s <= d, got s={s}")
     n_sup = comb(d, s)
+    if sample_supports is not None and sample_supports < 1:
+        raise ValueError(f"sample_supports must be at least 1, got {sample_supports}")
     if sample_supports is None:
         if n_sup > cap:
             raise EnumerationTooLargeError(
@@ -788,15 +863,29 @@ def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
         complete = False
     E = X_unit.entries
     G = E.T @ E
+    slack = _rip_screen_slack(G, X_unit.n_rows, s)
+    margin = _rip_clear_margin(G, X_unit.n_rows, s)
+    flat = G.ravel()
+    eye = np.eye(s)[:, :, None]
     chunk = 4096
-    screened = np.empty(supports.shape[0])
+    screened = np.full(supports.shape[0], -np.inf)
+    best = -np.inf
     for lo in range(0, supports.shape[0], chunk):
         T = supports[lo:lo + chunk]
-        lam = np.linalg.eigvalsh(G[T[:, :, None], T[:, None, :]])
-        screened[lo:lo + chunk] = np.maximum(1.0 - np.sqrt(np.maximum(lam[:, 0], 0.0)),
-                                             np.sqrt(lam[:, -1]) - 1.0)
-    rechecked = np.flatnonzero(
-        screened >= screened.max() - _rip_screen_slack(G, X_unit.n_rows, s))
+        B = flat[T.T[:, None] * d + T.T[None, :]]
+        D = B - eye
+        far = np.einsum("ijm,ijm->m", D, D)
+        lead = np.argpartition(far, -min(8, far.size))[-8:]
+        vals = screened[lo:lo + chunk]
+        vals[lead] = _rip_screened(G, T[lead])
+        best = max(best, float(vals[lead].max()))
+        tau = best - slack - margin
+        todo = ~_rip_cleared(B, tau) if tau > 0.0 else np.ones(T.shape[0], dtype=bool)
+        todo[lead] = False
+        if todo.any():
+            vals[todo] = _rip_screened(G, T[todo])
+            best = max(best, float(vals[todo].max()))
+    rechecked = np.flatnonzero(screened >= screened.max() - slack)
     best = -1.0
     best_i = 0
     residual = 0.0

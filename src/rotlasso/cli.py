@@ -79,7 +79,8 @@ def _load_json_arg(value: str) -> dict:
 
 
 def _exp_config(value: str) -> dict:
-    """An experiment config (inline JSON or a file) holding a grid and a trial count."""
+    """An experiment config (inline JSON or a file): a list of grid points, an
+    integer trial count, and optionally an integer master seed."""
     try:
         config = _load_json_arg(value)
     except (OSError, ValueError) as exc:
@@ -89,6 +90,16 @@ def _exp_config(value: str) -> dict:
     missing = [key for key in ("grid", "trials") if key not in config]
     if missing:
         raise argparse.ArgumentTypeError(f"config lacks {' and '.join(map(repr, missing))}")
+    unknown = sorted(set(config) - {"grid", "trials", "master_seed"})
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"config has unknown key(s) {unknown}; allowed: 'grid', 'trials', 'master_seed'")
+    if not (isinstance(config["grid"], list) and all(isinstance(g, dict) for g in config["grid"])):
+        raise argparse.ArgumentTypeError("config 'grid' must be a list of JSON objects")
+    for key in ("trials", "master_seed"):
+        if key in config and type(config[key]) is not int:
+            raise argparse.ArgumentTypeError(
+                f"config {key!r} must be an integer, got {config[key]!r}")
     return config
 
 
@@ -237,26 +248,33 @@ def _cmd_lasso(args) -> int:
     return 0
 
 
-def _cmd_exp(args) -> int:
+def _exp_specs(args) -> list[ExperimentSpec]:
+    """The experiments ``exp`` runs; a bad config raises ValueError or TypeError."""
     names = list(EXPERIMENT_NAMES) if args.name == "all" else [args.name]
-    ok = True
+    specs = []
     for name in names:
         cfg = args.config if args.config is not None else DEFAULT_CONFIGS[name]
-        spec = ExperimentSpec(
+        specs.append(ExperimentSpec(
             name=name,
             grid=tuple(cfg["grid"]),
             trials=int(cfg["trials"]),
             master_seed=args.seed if args.seed is not None
             else int(cfg.get("master_seed", 20250811)),
             out_dir=args.out_dir,
-        )
+        ))
+    return specs
+
+
+def _cmd_exp(args) -> int:
+    ok = True
+    for spec in args.specs:
         rows = run_experiment(spec, workers=args.workers)
         paths = emit_results(spec, rows, args.out_dir)
         passed = hard_experiments_pass(spec, rows)
         ok = ok and passed
         decided = [r.passed for r in rows if r.passed is not None]
         rate = (sum(decided) / len(decided)) if decided else float("nan")
-        print(f"{name}: {len(rows)} rows, pass rate {rate:.3f}, wrote {paths['csv']}")
+        print(f"{spec.name}: {len(rows)} rows, pass rate {rate:.3f}, wrote {paths['csv']}")
     return 0 if ok else 1
 
 
@@ -292,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s", type=int, default=1, help="sparsity level for rno/rip")
     c.add_argument("--method", choices=["multistart", "oracle"], default="multistart")
     c.add_argument("--cap", type=int, default=1_000_000, help="enumeration cap")
-    c.add_argument("--sample-pairs", type=int, default=None,
+    c.add_argument("--sample-pairs", type=_positive_int, default=None,
                    help="sampled lower bound when enumeration exceeds the cap")
     c.add_argument("--cone-slack", type=float, default=1.0, help="cone parameter L")
     c.add_argument("--rotation", choices=list(ROTATIONS), default="haar")
@@ -336,8 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "exp" and args.name == "all" and args.config is not None:
-        parser.error("--config applies to one experiment, not to 'all'")
+    if args.command == "exp":
+        if args.name == "all" and args.config is not None:
+            parser.error("--config applies to one experiment, not to 'all'")
+        try:
+            args.specs = _exp_specs(args)
+        except (TypeError, ValueError) as exc:
+            parser.error(f"bad experiment config: {exc}")
     return args.func(args)
 
 

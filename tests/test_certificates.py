@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rotlasso import (
     rno_to_re_lower_bound,
     seeded_stream,
 )
+from rotlasso import certificates
 from rotlasso.certificates import (
     _LIGHT_INNER_CAP,
     _LIGHT_INNER_TOL,
@@ -39,6 +41,8 @@ from rotlasso.certificates import (
     _descend,
     _polish_decomposed,
     _re_joint,
+    _rip_clear_margin,
+    _rip_cleared,
     _rip_screen_slack,
     _sampled_subsets,
     _step,
@@ -402,6 +406,12 @@ class TestRnoConstant:
         assert not sampled.solver_report.complete
         assert sampled.value <= exact.value + 1e-12
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_count_below_one_rejected(self, count):
+        X = gaussian_design(30, 8, seed=2)
+        with pytest.raises(ValueError, match="sample_pairs"):
+            rno_constant(X, SupportSet(8, (0, 1, 2)), 2, sample_pairs=count)
+
 
 def _oracle_designs():
     """A generic design, a duplicated column on orthonormal columns (ties at 1
@@ -517,6 +527,12 @@ class TestRipConstant:
         assert cert.value == pytest.approx(max(devs.values()), abs=1e-12)
         assert cert.witness.indices == max(devs, key=devs.get)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_count_below_one_rejected(self, count):
+        Xu = DesignMatrix(gaussian_design(20, 6, seed=31).entries / math.sqrt(20))
+        with pytest.raises(ValueError, match="sample_supports"):
+            rip_constant(Xu, 2, sample_supports=count)
+
 
 def _svd_deviation(Xu, T):
     sv = np.linalg.svd(Xu.entries[:, list(T)], compute_uv=False)
@@ -565,6 +581,118 @@ class TestRipBruteForce:
             assert abs(witness_dev - cert.value) <= 1e-12 * max(1.0, cert.value)
             G = Xu.entries.T @ Xu.entries
             assert cert.solver_report.residual <= _rip_screen_slack(G, n, s) / 2
+
+
+def _rip_screen_everything(Xu, s, supports):
+    """The screen without clearance, as a reference: eigvalsh of every
+    support's Gram block, then an SVD recheck of every support that screens
+    within ``_rip_screen_slack`` of the best.  Returns the certificate fields
+    rip_constant reports."""
+    E = Xu.entries
+    G = E.T @ E
+    screened = np.concatenate([
+        np.maximum(1.0 - np.sqrt(np.maximum(lam[:, 0], 0.0)), np.sqrt(lam[:, -1]) - 1.0)
+        for lam in (np.linalg.eigvalsh(G[T[:, :, None], T[:, None, :]])
+                    for T in np.array_split(supports, -(-len(supports) // 4096)))])
+    rechecked = np.flatnonzero(screened >= screened.max() - _rip_screen_slack(G, Xu.n_rows, s))
+    sv = np.linalg.svd(np.moveaxis(E[:, supports[rechecked]], 0, 1), compute_uv=False)
+    dev = np.maximum(1.0 - sv[:, -1], sv[:, 0] - 1.0)
+    i = int(np.argmax(dev))
+    return (float(dev[i]), tuple(int(c) for c in supports[rechecked[i]]),
+            float(np.abs(dev - screened[rechecked]).max()), len(supports))
+
+
+def _rip_fields(cert):
+    r = cert.solver_report
+    return cert.value, cert.witness.indices, r.residual, r.iterations
+
+
+def _unequal_norm_design(n, d, seed):
+    """Gaussian columns with norms spread over [0.3, 2] times sqrt(n)."""
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal((n, d))
+    return DesignMatrix(E / np.linalg.norm(E, axis=0) * rng.uniform(0.3, 2.0, d) * math.sqrt(n))
+
+
+class TestRipClearance:
+    """Supports cleared by the Cholesky test leave every output of the
+    screen-everything reference unchanged, bit for bit."""
+
+    @staticmethod
+    def _check(Xu, s, sample=None, seed=None):
+        d = Xu.n_cols
+        if sample is None:
+            cert = rip_constant(Xu, s)
+            supports = np.array(list(itertools.combinations(range(d), s)), dtype=np.intp)
+        else:
+            cert = rip_constant(Xu, s, sample_supports=sample, seed=seed)
+            supports = _sampled_subsets(seeded_stream(seed), np.arange(d), s, sample)
+        assert cert.solver_report.complete is (sample is None)
+        assert _rip_fields(cert) == _rip_screen_everything(Xu, s, supports)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_oracle_designs(self, s):
+        for X in _rip_oracle_designs():
+            Xu = DesignMatrix(X.entries / math.sqrt(X.n_rows))
+            self._check(Xu, s)
+            self._check(Xu, s, sample=40, seed=SeedSpec(3))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    def test_gaussian_designs(self, s):
+        X = gaussian_design(60, 14, seed=90 + s)
+        self._check(DesignMatrix(X.entries / math.sqrt(60)), s)
+
+    def test_many_chunks(self):
+        # C(17, 6) = 12,376 supports: later chunks start from an earlier best
+        X = gaussian_design(60, 17, seed=97)
+        self._check(DesignMatrix(X.entries / math.sqrt(60)), 6)
+
+    def test_sampled_supports_repeat(self):
+        # 600 draws from C(7, 3) = 35 supports
+        X = gaussian_design(30, 7, seed=98)
+        Xu = DesignMatrix(X.entries / math.sqrt(30))
+        supports = _sampled_subsets(seeded_stream(SeedSpec(5)), np.arange(7), 3, 600)
+        assert len(np.unique(supports, axis=0)) < len(supports)
+        self._check(Xu, 3, sample=600, seed=SeedSpec(5))
+
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    def test_unequal_column_norms(self, s):
+        X = _unequal_norm_design(40, 12, seed=99)
+        Xu = DesignMatrix(X.entries / math.sqrt(40))
+        self._check(Xu, s)
+        self._check(Xu, s, sample=300, seed=SeedSpec(6))
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_cleared_supports_keep_the_margin(self, s, monkeypatch):
+        # Orthogonal columns with chosen norms: a support's deviation is the
+        # largest |norm - 1| among its columns.  Nine columns of norm 1.5 fill
+        # the leads and set the best, 0.5.  Ten columns sit j/8 margins below
+        # the recheck floor 0.5 - slack, j = 1..10, and six have norm 1.  A
+        # cleared support must screen at least half a margin below the floor,
+        # so columns j <= 3 must never be cleared, and columns j >= 9 are.
+        d = 25
+        probe = np.diag(np.r_[np.full(9, 1.5), np.ones(d - 9)])
+        G0 = probe.T @ probe
+        slack, margin = _rip_screen_slack(G0, d, s), _rip_clear_margin(G0, d, s)
+        norms = np.r_[np.full(9, 1.5), 1.5 - slack - np.arange(1, 11) * margin / 8, np.ones(6)]
+        Xu = DesignMatrix(np.diag(norms))
+        G = Xu.entries.T @ Xu.entries
+        assert (_rip_screen_slack(G, d, s), _rip_clear_margin(G, d, s)) == (slack, margin)
+        cleared = []
+
+        def spy(B, tau):
+            ok = _rip_cleared(B, tau)
+            cleared.append(np.moveaxis(B[:, :, ok], 2, 0))
+            return ok
+
+        monkeypatch.setattr(certificates, "_rip_cleared", spy)
+        self._check(Xu, s)
+        lam = np.linalg.eigvalsh(np.concatenate(cleared))
+        screened = np.maximum(1.0 - np.sqrt(lam[:, 0]), np.sqrt(lam[:, -1]) - 1.0)
+        assert screened.size > 0
+        assert screened.max() < 0.5 - slack - margin / 2
+        # every support within the columns j >= 9 and those of norm 1 is cleared
+        assert screened.size >= comb(8, s)
 
 
 def test_rip_enumeration_memory_is_bounded():

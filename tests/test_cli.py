@@ -93,6 +93,17 @@ class TestCert:
         assert rip["value"] >= math.sqrt(2) - 1 - 1e-9
         assert rip["rescaled_by"] == "1/sqrt(50)"
 
+    @pytest.mark.parametrize("what", ["rno", "rip"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sample_pairs_below_one_rejected(self, what, count, stored_design, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["cert", "--what", what, "--matrix", stored_design, "--support", "[0, 1]",
+                     "--s", 1, "--sample-pairs", count, "--out", out])
+        assert exc.value.code == 2
+        assert "--sample-pairs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_method(self, tmp_path):
         out = tmp_path / "g"
         run_cli(["gen", "--kind", "correlated", "--n", 16, "--d", 6, "--k", 2,
@@ -217,6 +228,25 @@ class TestExp:
         assert exc.value.code == 2
         assert problem in capsys.readouterr().err
         assert not tmp_path.joinpath("sparsify-bound.csv").exists()
+
+    @pytest.mark.parametrize("config, problem", [
+        ('{"grid": [{"n": 20, "d": 30, "s": 10}], "trials": 1, "tirals": 3}',
+         "unknown key(s) ['tirals']"),
+        ('{"grid": [], "trials": 1}', "grid must contain at least one point"),
+        ('{"grid": [{"n": 20, "d": 30, "s": 10}], "trials": "x"}',
+         "'trials' must be an integer, got 'x'"),
+        ('{"grid": [{"n": 20, "d": 30, "s": 10, "sigma": 1}], "trials": 1}',
+         "unknown grid key(s) ['sigma']"),
+        ('{"grid": {"n": 20}, "trials": 1}', "'grid' must be a list of JSON objects"),
+        ('{"grid": [{"n": 20, "d": 30, "s": 10}], "trials": 1, "master_seed": 1.5}',
+         "'master_seed' must be an integer"),
+    ])
+    def test_config_with_bad_content_rejected(self, config, problem, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["exp", "sparsify-bound", "--config", config, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert problem in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_config_with_all_rejected(self, tmp_path, capsys):
         cfg = json.dumps({"grid": [{"n": 20, "d": 30, "s": 10}], "trials": 1})

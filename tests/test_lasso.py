@@ -17,6 +17,7 @@ from rotlasso import (
     parameter_errors,
     prediction_error,
     project_l1_ball,
+    lasso,
     synth_response,
 )
 
@@ -234,6 +235,36 @@ class TestLassoConstrained:
             # the gap bound 4 L r delta for the reported step length delta (bench/README.md)
             bound = 4 * L * radius * sol.fixed_point_residual + 1e-9 * max(float(y @ y), 1.0)
             assert lasso_gap(E, y, sol.beta_hat, radius) <= bound
+
+    def test_solve_cut_short_on_a_rejected_candidate(self, monkeypatch):
+        # When the loop's last step rejects its candidate, that step did not
+        # start from the kept point b.  beta_hat must still be one plain
+        # projected-gradient step from b, of the reported length delta.
+        cases = []
+        for i in range(1, 5):
+            X = gaussian_design(*((50, 400) if i % 2 else (60, 20)), seed=700 + i)
+            beta = SparseVector(X.n_cols, ((0, 1.0), (1, -2.0), (3, 0.5)))
+            inst = synth_response(X, beta, 0.5, SeedSpec(17, i))
+            trace = lasso_constrained(inst, beta.norm_l1()).objective_trace
+            # a rejected candidate repeats the kept objective in the trace,
+            # here in the middle of the descent
+            last = next(k for k in range(1, trace.size - 2)
+                        if trace[k - 1] == trace[k] > trace[k + 1])
+            cases.append((inst, beta.norm_l1(), last))
+        for inst, radius, last in cases:
+            monkeypatch.setattr(lasso, "LASSO_MAX_ITER", last)
+            sol = lasso_constrained(inst, radius)
+            t = sol.objective_trace
+            assert sol.iterations == last + 1 and t[-2] == t[-3]
+            E, y = inst.X.entries, inst.y
+            L = float(np.linalg.svd(E, compute_uv=False)[0]) ** 2
+            assert np.abs(sol.beta_hat).sum() <= radius * (1 + 1e-12)
+            bound = 4 * L * radius * sol.fixed_point_residual + 1e-9 * max(float(y @ y), 1.0)
+            assert lasso_gap(E, y, sol.beta_hat, radius) <= bound
+            # descent lemma: a projected-gradient step of length delta with
+            # step 1/L lowers ||y - X b||^2 by at least L delta^2
+            slack = 8 * np.finfo(float).eps * max(t[0], 1.0)
+            assert t[-1] <= t[-2] - (1 - 1e-9) * L * sol.fixed_point_residual ** 2 + slack
 
     def test_matches_projected_gradient_reference(self, oracle_solves):
         for inst, radius, sol in oracle_solves:

@@ -769,11 +769,13 @@ def _rip_clear_margin(G, n, s):
     forming it rounds by at most 4*u*scale, and trace(A) <= 4*s*scale.  A
     factorisation that completes gives A + dA = R^T R with
     |dA| <= gamma_{s+1}*|R^T||R| whatever order its sums take (Higham 2002,
-    Thm 10.3 and 10.5; Demmel 1989), hence
+    section 10.1; Demmel 1989), hence
     ||dA|| <= gamma_{s+1}*||R||_F^2 = gamma_{s+1}*trace(A + dA), at most
-    about (s + 1)*u*trace(A).  As R^T R is positive definite, G_S lies within
-    eps_chol = 4*(s + 1)^2*u*scale of passing: lambda_min(G_S) > a - eps_chol
-    and lambda_max(G_S) < b + eps_chol.  eigvalsh moves each by at most
+    about (s + 1)*u*trace(A).  With the rounding of the diagonal, R^T R is
+    within eps_chol = 4*(s + 1)^2*u*scale in norm of the exact G_S - a*I (or
+    b*I - G_S), and it is positive definite.  So two completed
+    factorisations give lambda_min(G_S) > a - eps_chol and
+    lambda_max(G_S) < b + eps_chol.  eigvalsh moves each by at most
     eps_lam/4 (eps_lam carries a factor 4 of headroom), and by the
     square-root inequality of ``_rip_screen_slack``, with 1 - sqrt(a) <= tau
     and sqrt(b) - 1 = tau, both terms of the screened deviation lie below

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from math import comb
@@ -33,7 +34,8 @@ from rotlasso import (
     rno_to_re_lower_bound,
     seeded_stream,
 )
-from rotlasso import certificates
+from rotlasso import certificates, write_design
+from rotlasso.cli import main as cli_main
 from rotlasso.certificates import (
     _LIGHT_INNER_CAP,
     _LIGHT_INNER_TOL,
@@ -590,10 +592,8 @@ def _rip_screen_everything(Xu, s, supports):
     rip_constant reports."""
     E = Xu.entries
     G = E.T @ E
-    screened = np.concatenate([
-        np.maximum(1.0 - np.sqrt(np.maximum(lam[:, 0], 0.0)), np.sqrt(lam[:, -1]) - 1.0)
-        for lam in (np.linalg.eigvalsh(G[T[:, :, None], T[:, None, :]])
-                    for T in np.array_split(supports, -(-len(supports) // 4096)))])
+    lam = np.linalg.eigvalsh(G[supports[:, :, None], supports[:, None, :]])
+    screened = np.maximum(1.0 - np.sqrt(np.maximum(lam[:, 0], 0.0)), np.sqrt(lam[:, -1]) - 1.0)
     rechecked = np.flatnonzero(screened >= screened.max() - _rip_screen_slack(G, Xu.n_rows, s))
     sv = np.linalg.svd(np.moveaxis(E[:, supports[rechecked]], 0, 1), compute_uv=False)
     dev = np.maximum(1.0 - sv[:, -1], sv[:, 0] - 1.0)
@@ -656,11 +656,22 @@ class TestRipClearance:
         self._check(Xu, 3, sample=600, seed=SeedSpec(5))
 
     @pytest.mark.parametrize("s", [1, 2, 4])
-    def test_unequal_column_norms(self, s):
+    def test_unequal_column_norms(self, s, tmp_path):
         X = _unequal_norm_design(40, 12, seed=99)
         Xu = DesignMatrix(X.entries / math.sqrt(40))
         self._check(Xu, s)
         self._check(Xu, s, sample=300, seed=SeedSpec(6))
+        # the same design through `rotlasso cert --what rip`, which rescales it
+        write_design(X, tmp_path / "u")
+        out = tmp_path / "rip.json"
+        assert cli_main(["cert", "--what", "rip", "--matrix", str(tmp_path / "u"),
+                         "--s", str(s), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        supports = np.array(list(itertools.combinations(range(12), s)), dtype=np.intp)
+        report = cert["solver_report"]
+        assert report["complete"] is True
+        assert ((cert["value"], tuple(cert["witness"]["indices"]), report["residual"],
+                 report["iterations"]) == _rip_screen_everything(Xu, s, supports))
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_cleared_supports_keep_the_margin(self, s, monkeypatch):

@@ -12,15 +12,18 @@ of the best, so its value and witness are those of an SVD of every support.
 
 Computing a restricted eigenvalue exactly is intractable in general.  When
 the certified set covers every column, both variants are the smallest
-eigenvalue of the Gram matrix and are returned exactly.  Otherwise the
-certificate comes from one batched monotone projected-gradient descent over
-the cone, run from 64 and more restarts.  Mode gamma with the cone on S'
-itself goes through one pipeline over a set of unit directions of the cone
-block: an exact inner solve over the off-support l1 ball for every direction,
-one light polish of the 8 best, run on them as one block in lockstep, and a
-full polish of the winner.  The multistart feeds it the restarts'
-directions; on small instances with at most 3 certified coordinates the
-independent oracle feeds it a 2 degree angular grid instead.
+eigenvalue of the Gram matrix and are returned exactly.  Mode gamma with the
+cone on S' itself goes through one pipeline over a set of unit directions of
+the cone block: an exact inner solve over the off-support l1 ball for every
+direction, one light polish of the 8 best, run on them as one block in
+lockstep, and a tight joint descent and a full polish of the best of them.
+The multistart feeds it the restarts' directions; on small instances with at
+most 3 certified coordinates the independent oracle feeds it a 2 degree
+angular grid instead.  Every other case (mode gamma', or a cone larger than
+S') is one batched monotone projected-gradient descent over the cone from 64
+and more restarts.  Each of its steps maps back by the exact Euclidean
+projection onto the convex piece of the cone around the point the step
+starts from, so a finished descent is stationary.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from math import comb
 
 import numpy as np
 
-from ._projection import project_l1_columns
+from ._projection import project_l1_columns, project_l1_cone_columns
 from .core import (
     DegenerateInputError,
     DesignMatrix,
@@ -46,7 +49,7 @@ from .core import (
 
 DEFAULT_ENUM_CAP = 1_000_000
 # inner-solve tolerance of the final gamma polish; the light polishes that
-# rank the candidates, and the whole gamma' pre-solve, use the looser pair
+# rank the candidates use the looser pair
 _INNER_TOL = 1e-9
 _LIGHT_INNER_TOL = 1e-7
 _LIGHT_INNER_CAP = 20_000
@@ -232,11 +235,12 @@ def _step(G):
     return 1.0 / max(2.0 * float(np.linalg.eigvalsh(G)[-1]), 1e-300)
 
 
-def _feasible(G, Z, p, den, L):
-    """Project the off-support block of each column onto the l1 ball of radius
-    L ||z[:p]||_1 and rescale so that ||z_den|| = 1, in place.  Returns
-    (Z, G Z, rho) with rho = inf where the denominator vanishes."""
-    Z[p:] = project_l1_columns(Z[p:], L * np.abs(Z[:p]).sum(axis=0))
+def _feasible(G, Z, p, den, L, sigma):
+    """Project each column onto the convex cone {||v||_1 <= L sigma^T u}, with
+    ``sigma`` the cone block's sign pattern where the step started, and
+    rescale so that ||z_den|| = 1.  Returns (Z, G Z, rho) with rho = inf
+    where the denominator vanishes."""
+    Z = project_l1_cone_columns(Z, p, sigma, L)
     dn = _col_norms(Z[den])
     alive = dn > 1e-300
     every = alive.all()
@@ -250,13 +254,15 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
     """Monotone projected gradient on z^T G z / ||z_den||^2, batched over columns.
 
     Each step follows the Rayleigh gradient 2 (G z - rho z_den) and maps back
-    with ``_feasible``.  A column's step grows by 2% after an accepted step and
-    halves after a rejected one, so no column's objective ever rises.  Start
+    with ``_feasible``: the exact projection onto the convex piece of the cone
+    around the current point, so a column stops moving only at a stationary
+    point.  A column's step grows by 2% after an accepted step and halves
+    after a rejected one, so no column's objective ever rises.  Start
     columns with a vanishing denominator are dropped.  Stops once no column's
     objective fell by a relative ``rtol`` over the last ``window`` iterations.
     Returns (Z, rho, iterations).
     """
-    Z, GZ, rho = _feasible(G, Z, p, den, L)
+    Z, GZ, rho = _feasible(G, Z, p, den, L, np.sign(Z[:p]))
     keep = np.isfinite(rho)
     Z, GZ, rho = Z[:, keep], GZ[:, keep], rho[keep]
     eta = np.full(rho.size, step0)
@@ -265,7 +271,7 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
     while it < max_iter:
         grad = 2.0 * GZ
         grad[den] -= 2.0 * rho * Z[den]
-        Z1, GZ1, rho1 = _feasible(G, Z - eta * grad, p, den, L)
+        Z1, GZ1, rho1 = _feasible(G, Z - eta * grad, p, den, L, np.sign(Z[:p]))
         accept = rho1 <= rho + 1e-15
         if accept.all():
             eta = np.minimum(eta * 1.02, step0 * 64.0)
@@ -284,14 +290,14 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
     return Z, rho, it
 
 
-def _starts(G, p, sp, L, seed, n_starts, extra_starts):
+def _starts(G, p, sp, L, seed, n_starts):
     """Restart columns for the descent, in the ordered coordinates.
 
     ``sp`` holds the rows of S'.  The deterministic starts are up to 8 axis
     vectors, the uniform and the flattest direction on S', and each of these
     three loaded with one of the two flattest off-support directions at the
     full l1 budget (kernel-like loads that cancel cone mass cheaply).  Then
-    come the caller's starts and ``n_starts`` Gaussian ones.
+    come ``n_starts`` Gaussian ones.
     """
     d = G.shape[0]
     axes = list(np.eye(d)[sp[:8]])
@@ -306,8 +312,8 @@ def _starts(G, p, sp, L, seed, n_starts, extra_starts):
             z[p:] = (L * np.abs(base).sum() / np.abs(w).sum()) * w
             cols.append(z)
     rng = seeded_stream(seed if seed is not None else DEFAULT_SOLVER_SEED)
-    return np.concatenate([np.stack(cols + list(extra_starts), axis=1),
-                           rng.standard_normal((d, n_starts))], axis=1)
+    return np.concatenate([np.stack(cols, axis=1), rng.standard_normal((d, n_starts))],
+                          axis=1)
 
 
 def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=40):
@@ -397,7 +403,7 @@ def _grid_directions(p):
     ])
 
 
-def _gamma_from_directions(G, p, L, U, inner_tol, inner_cap):
+def _gamma_from_directions(G, p, L, U, inner_cap):
     """Mode gamma with cone support == S', from unit cone directions U (one
     per column): a coarse inner sweep over every direction, ranked by the
     quadratic form; one batched light polish of the 8 leaders; and a tight
@@ -414,7 +420,7 @@ def _gamma_from_directions(G, p, L, U, inner_tol, inner_cap):
         _LIGHT_INNER_CAP, max_outer=10)
     Z, _, _ = _descend(G, Zl[:, [int(np.argmin(fl))]], p, slice(None, p), L, _step(G),
                        max_iter=6000, window=100, rtol=1e-14)
-    Z, _, its, worst_res, ok = _polish_decomposed(G, p, Z, L, step_inner, inner_tol,
+    Z, _, its, worst_res, ok = _polish_decomposed(G, p, Z, L, step_inner, _INNER_TOL,
                                                   inner_cap)
     z = Z[:, 0]
     report = SolverReport(iterations=total + its_light + its,
@@ -423,19 +429,20 @@ def _gamma_from_directions(G, p, L, U, inner_tol, inner_cap):
     return z, report
 
 
-def _re_joint(G, p, sp, den, L, seed, n_starts, extra_starts, max_iter=8000):
+def _re_joint(G, p, sp, den, L, seed, n_starts, max_iter=8000):
     """Joint descent over the whole cone; used for mode gamma_prime (``den``
     every row) and for mode gamma with a cone support strictly larger than
     S' (``den`` = ``sp``, the rows of S')."""
     step0 = _step(G)
-    Z, rho, it = _descend(G, _starts(G, p, sp, L, seed, n_starts, extra_starts),
-                          p, den, L, step0, max_iter=max_iter, window=80, rtol=1e-13)
+    Z, rho, it = _descend(G, _starts(G, p, sp, L, seed, n_starts), p, den, L, step0,
+                          max_iter=max_iter, window=80, rtol=1e-13)
     best = int(np.argmin(rho))
     z = Z[:, best].copy()
     grad = 2.0 * (G @ z)
     grad[den] -= 2.0 * rho[best] * z[den]
     # projected-gradient fixed-point residual ||z - P(z - t grad)|| / t
-    moved, _, _ = _feasible(G, (z - step0 * grad)[:, None], p, den, L)
+    moved, _, _ = _feasible(G, (z - step0 * grad)[:, None], p, den, L,
+                            np.sign(z[:p, None]))
     report = SolverReport(iterations=it, restarts=Z.shape[1],
                           residual=float(np.linalg.norm(moved[:, 0] - z)) / step0,
                           converged=it < max_iter,
@@ -458,16 +465,16 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     (method ``exact_svd``).  Mode ``gamma`` with cone support ``S_prime``
     takes unit directions u of the cone block, solves the convex inner
     problem over the off-support l1 ball exactly for each, ranks them by
-    the quadratic form, polishes the 8 best lightly in one batched polish
-    and the winner fully.
+    the quadratic form, polishes the 8 best lightly in one batched polish,
+    and descends from the best of them and polishes it fully.
     The two methods differ only in the directions: ``multistart`` uses the
     cone blocks of the restarts (``n_starts`` Gaussian ones and a few
     deterministic ones), ``grid_oracle`` a 2 degree angular grid, which
     limits it to this mode and at most 3 certified coordinates.  Every other
-    case descends over whole cone vectors from the same restarts; mode
-    ``gamma_prime`` with cone support ``S_prime`` also starts from the
-    gamma-mode witness (always feasible, so gamma' <= gamma holds).
-    ``max_inner_iter`` caps each inner solve of the final polish.
+    case, mode ``gamma_prime`` included, descends over whole cone vectors
+    from the same restarts, on the exact projection onto the convex piece of
+    the cone around each iterate.  ``max_inner_iter`` caps each inner solve
+    of the final polish of mode ``gamma``.
     """
     if mode not in ("gamma", "gamma_prime"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -497,23 +504,17 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     E = X.entries[:, order]
     G = (E.T @ E) / X.n_rows
     p = cone.S.size
-    starts = []
-    if same:
+    if same and mode == "gamma":
         if method == "grid_oracle":
             U = _grid_directions(p)
         else:
-            m = n_starts if mode == "gamma" else max(n_starts // 2, 8)
-            U = np.unique(_starts(G, p, np.arange(p), cone.L, seed, m, [])[:p], axis=1)
+            U = np.unique(_starts(G, p, np.arange(p), cone.L, seed, n_starts)[:p], axis=1)
             U /= np.linalg.norm(U, axis=0)
-        # mode gamma_prime only needs a feasible start, so a lighter final polish
-        tol, cap = ((_INNER_TOL, max_inner_iter) if mode == "gamma"
-                    else (_LIGHT_INNER_TOL, _LIGHT_INNER_CAP))
-        z, report = _gamma_from_directions(G, p, cone.L, U, tol, cap)
-        starts.append(z)
-    if mode == "gamma_prime" or not same:
+        z, report = _gamma_from_directions(G, p, cone.L, U, max_inner_iter)
+    else:
         sp = np.searchsorted(cone.S.array(), S_prime.array())
         z, report = _re_joint(G, p, sp, sp if mode == "gamma" else slice(None), cone.L,
-                              seed, n_starts, starts)
+                              seed, n_starts)
     dense = np.zeros(X.n_cols)
     dense[order] = z
     witness = SparseVector.from_dense(dense)

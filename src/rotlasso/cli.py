@@ -307,15 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["re", "re-prime", "rno", "rip", "lambda-min", "rot-check"])
     c.add_argument("--matrix", required=True, help="design path (CSV+JSON pair)")
     c.add_argument("--support", help="support set as JSON (inline or file)")
-    c.add_argument("--s", type=int, default=1, help="sparsity level for rno/rip")
+    c.add_argument("--s", type=_positive_int, default=1, help="sparsity level for rno/rip")
     c.add_argument("--method", choices=["multistart", "oracle"], default="multistart")
-    c.add_argument("--cap", type=int, default=1_000_000, help="enumeration cap")
+    c.add_argument("--cap", type=_positive_int, default=1_000_000, help="enumeration cap")
     c.add_argument("--sample-pairs", type=_positive_int, default=None,
                    help="sampled lower bound when enumeration exceeds the cap")
     c.add_argument("--cone-slack", type=float, default=1.0, help="cone parameter L")
     c.add_argument("--rotation", choices=list(ROTATIONS), default="haar")
     c.add_argument("--epsilon", type=float, default=0.5, help="rot-check threshold")
-    c.add_argument("--trials", type=int, default=1000, help="rot-check trials")
+    c.add_argument("--trials", type=_positive_int, default=1000, help="rot-check trials")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", help="output JSON path (stdout if omitted)")
     c.set_defaults(func=_cmd_cert)

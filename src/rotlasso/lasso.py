@@ -77,9 +77,8 @@ def synth_response(X: DesignMatrix, beta: SparseVector, sigma: float,
     return RegressionInstance(X=X, y=y, beta_true=beta, sigma=sigma, seed=seed)
 
 
-def project_l1_ball(v, radius: float) -> np.ndarray:
-    """Exact Euclidean projection of v onto the l1 ball of the given radius."""
-    return project_l1(np.asarray(v, dtype=np.float64), radius)
+# the public name of the single-vector ball projection
+project_l1_ball = project_l1
 
 
 def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolution:

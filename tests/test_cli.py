@@ -104,6 +104,17 @@ class TestCert:
         assert "--sample-pairs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("what, flag, value", [
+        ("rip", "--s", 0), ("rip", "--cap", -5), ("rno", "--s", 0), ("rot-check", "--trials", 0)])
+    def test_counts_below_one_rejected(self, what, flag, value, stored_design, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["cert", "--what", what, "--matrix", stored_design,
+                     "--support", "[0, 1, 2, 3]", flag, value, "--out", out])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_method(self, tmp_path):
         out = tmp_path / "g"
         run_cli(["gen", "--kind", "correlated", "--n", 16, "--d", 6, "--k", 2,

@@ -573,67 +573,135 @@ def rno_fixed_supports(X: DesignMatrix, S: SupportSet, S_alpha: SupportSet,
     return float(min(max(s[0], 0.0), 1.0))
 
 
-def _masked_bases(E, supports, chunk=2048):
-    """Orthonormal span bases for a stack of same-size supports.
+def _row_space(E):
+    """A matrix with min(n, d) rows whose columns have the inner products of E's.
 
-    Rank-deficient spans keep their full-width factor with the excess columns
-    zeroed, so downstream products see exactly the span and nothing more.
+    For n > d this is the d x d triangular factor R of E = QR.  Q has
+    orthonormal columns, so every inner product of columns, and every
+    principal angle between column spans, is the same for R as for E
+    (Bjorck and Golub 1973), and each inner product of the enumeration runs
+    over d entries instead of n.  For n <= d it is E itself.
+    """
+    n, d = E.shape
+    return np.linalg.qr(E, mode="r") if n > d else E
+
+
+def _masked_bases(R, supports, chunk=2048):
+    """Orthonormal span bases of R's columns on a stack of same-size supports.
+
+    ``R`` is the row space of the design (``_row_space``), m x d.  The
+    bases are stored plane by plane: the result P is min(m, s) x N x m, and
+    P[a, i] is column a of the basis of support i, so that each plane P[a]
+    is one contiguous N x m operand for BLAS.  Rank-deficient spans keep
+    their full-width factor with the excess columns zeroed, so downstream
+    products see exactly the span and nothing more.
     """
     N, s = supports.shape
-    n = E.shape[0]
-    out = np.empty((N, n, s))
+    m = R.shape[0]
+    out = np.empty((min(m, s), N, m))
     for lo in range(0, N, chunk):
         hi = min(lo + chunk, N)
-        stack = np.moveaxis(E[:, supports[lo:hi]], 0, 1)
+        stack = np.moveaxis(R[:, supports[lo:hi]], 0, 1)
         U, sv, _ = np.linalg.svd(stack, full_matrices=False)
         lead = np.maximum(sv[:, :1], 1e-300)
         mask = sv > 1e-10 * lead
-        out[lo:hi] = U * mask[:, None, :]
+        out[:, lo:hi] = np.moveaxis(U, 2, 0) * mask.T[:, :, None]
     return out
 
 
-def _pair_values_max(Ua, Ub=None, indicators=None, chunk_pairs=200_000):
+def _sigma_max(Pa, Pb):
+    """sigma_max(Ua_k^T Ub_k) for each pair k of bases in plane layout, in one batch."""
+    C = np.matmul(Pa.transpose(1, 0, 2), Pb.transpose(1, 2, 0))
+    return np.linalg.svd(C, compute_uv=False)[:, 0]
+
+
+def _fro2(Pa, Pb):
+    """||Ua_i^T Ub_j||_F^2 for every pair (i, j) of bases in plane layout.
+
+    The sum over the s^2 pairs (a, b) of basis columns of one BLAS product
+    Pa[a] @ Pb[b]^T each, squared in place.
+    """
+    out = np.zeros((Pa.shape[1], Pb.shape[1]))
+    plane = np.empty_like(out)
+    for a in Pa:
+        for b in Pb:
+            np.matmul(a, b.T, out=plane)
+            plane *= plane
+            out += plane
+    return out
+
+
+def _prune_floor2(floor, m, s):
+    """The least computed ||C||_F^2 of a pair whose computed sigma_max reaches ``floor``.
+
+    Let u be the unit roundoff.  The basis columns are unit vectors or zero,
+    to within about m*u.  An entry of a plane product (``_fro2``) and the
+    same entry of the block C that ``_sigma_max`` forms are two computations
+    of one inner product of length m, each within gamma_m, about m*u, of
+    exact (Higham 2002, section 3.1).  So the s^2 plane entries P of a pair
+    lie within 2*s*m*u of C in Frobenius norm, and
+    ||P||_F >= ||C||_F - 2*s*m*u >= sigma_max(C) - 2*s*m*u.  The SVD of the
+    s x s block returns sigma_max(C) to a relative error far below the
+    fixed margin of 1e-12 (about 9000*u).  The sum of the s^2 squares, all
+    of one sign, rounds ||P||_F^2 down by a factor of at most
+    1 - (s^2 + 1)*u, so ||P||_F by at most (s^2 + 1)*u relatively.  With a
+    factor 4 of headroom on the two derived terms, a pair whose computed
+    sigma_max reaches floor shows a computed ||C||_F^2 of at least the
+    square of floor*(1 - 1e-12 - 4*(s^2 + 1)*u) - 8*s*m*u, when that is
+    positive.
+    """
+    u = np.finfo(float).eps / 2
+    return max(floor * (1.0 - 1e-12 - 4.0 * (s * s + 1) * u) - 8.0 * s * m * u, 0.0) ** 2
+
+
+def _pair_values_max(Pa, Pb=None, indicators=None, chunk_pairs=200_000):
     """Max (and first argmax) of sigma_max(Ua_i^T Ub_j) over pairs (i, j).
 
-    With ``Ub`` None the pairs are i < j within ``Ua`` whose supports, given
-    as 0/1 ``indicators`` (one row per basis), are disjoint; each unordered
-    pair comes once, since sigma_max(A^T B) = sigma_max(B^T A).  A chunk
-    of about ``chunk_pairs`` pairs is one BLAS product of the flattened bases.
-    Since sigma_max(C) <= ||C||_F, an s x s block C gets an SVD only if its
-    norm reaches a floor: the best value so far, or the best among the
-    chunk's 64 largest norms.  A relative slack of 1e-12 keeps rounding from
-    dropping a tied or winning pair.
+    The bases come in the plane layout of ``_masked_bases``.  With ``Pb``
+    None the pairs are i < j within ``Pa`` whose supports, given as 0/1
+    ``indicators`` (one row per basis), are disjoint; each unordered pair
+    comes once, since sigma_max(A^T B) = sigma_max(B^T A).
+
+    Since sigma_max(C) <= ||C||_F, a pair's s x s block C = Ua_i^T Ub_j is
+    formed, and gets an SVD, only if its norm reaches a floor.  A chunk of
+    about ``chunk_pairs`` pairs, some rows i against every j, gets its
+    squared norms from s^2 plane products (``_fro2``).  The floor is the
+    best value so far, or the best among the chunk's 64 admissible pairs of
+    largest norm; ``_prune_floor2`` keeps rounding from dropping a tied or
+    winning pair.  The pairs that reach it are formed in batches whose
+    gathered bases hold no more entries than a chunk holds pairs.
     """
-    Na, n, s = Ua.shape
-    Fa = np.moveaxis(Ua, 0, 1).reshape(n, Na * s)
-    Fb = Fa if Ub is None else np.moveaxis(Ub, 0, 1).reshape(n, -1)
-    Nb = Fb.shape[1] // s
+    s, Na, m = Pa.shape
+    Qb = Pa if Pb is None else Pb
+    Nb = Qb.shape[1]
+    batch = max(1, chunk_pairs // (s * m))
     best = -1.0
     best_pair = (0, 0)
     rows = max(1, chunk_pairs // max(Nb, 1))
     for lo in range(0, Na, rows):
         hi = min(lo + rows, Na)
-        c0 = lo if Ub is None else 0
-        C = (Fa[:, lo * s:hi * s].T @ Fb[:, c0 * s:]).reshape(hi - lo, s, Nb - c0, s)
-        fro2 = np.einsum("asbt,asbt->ab", C, C)
-        if Ub is None:
+        c0 = lo if Pb is None else 0
+        fro2 = _fro2(Pa[:, lo:hi], Qb[:, c0:])
+        if Pb is None:
             keep = np.arange(c0, Nb) > np.arange(lo, hi)[:, None]
             keep &= indicators[lo:hi] @ indicators[c0:].T == 0.0
-            if not keep.any():
+            cand = np.flatnonzero(keep)
+            if cand.size == 0:
                 continue
-            fro2[~keep] = -1.0
+        else:
+            cand = np.arange(fro2.size)
+        vals = fro2.ravel()[cand]
         # the admissible pairs of largest norm set a floor the winner must reach
-        top = np.argpartition(fro2, -min(64, fro2.size), axis=None)[-64:]
-        ta, tb = np.unravel_index(top[fro2.flat[top] >= 0.0], fro2.shape)
-        floor = max(float(np.linalg.svd(C[ta, :, tb], compute_uv=False)[:, 0].max()), best)
-        ia, ib = np.nonzero(fro2 >= floor * floor * (1.0 - 1e-12))
-        if ia.size == 0:
-            continue
-        sv = np.linalg.svd(C[ia, :, ib], compute_uv=False)[:, 0]
-        j = int(np.argmax(sv))
-        if float(sv[j]) > best:
-            best = float(sv[j])
-            best_pair = (lo + int(ia[j]), c0 + int(ib[j]))
+        top = cand[np.argpartition(vals, -min(64, vals.size))[-64:]]
+        ta, tb = np.unravel_index(top, fro2.shape)
+        floor = max(float(_sigma_max(Pa[:, lo + ta], Qb[:, c0 + tb]).max()), best)
+        ia, ib = np.unravel_index(cand[vals >= _prune_floor2(floor, m, s)], fro2.shape)
+        for k in range(0, ia.size, batch):
+            sv = _sigma_max(Pa[:, lo + ia[k:k + batch]], Qb[:, c0 + ib[k:k + batch]])
+            j = int(np.argmax(sv))
+            if float(sv[j]) > best:
+                best = float(sv[j])
+                best_pair = (lo + int(ia[k + j]), c0 + int(ib[k + j]))
     return min(max(best, 0.0), 1.0), best_pair
 
 
@@ -657,9 +725,13 @@ def rno_constant(X: DesignMatrix, S: SupportSet, s: int,
     """Worst normalized inner product between s-column spans across the S boundary.
 
     Enumerates supports of size exactly s on both sides (enlarging a support
-    enlarges its span, so the maximum is attained at full size).  Complete
-    enumeration is exact; when the pair count exceeds ``cap`` pass
-    ``sample_pairs`` to get a sampled lower bound instead.
+    enlarges its span, so the maximum is attained at full size).  The span
+    bases are taken in the design's row space (``_row_space``), which keeps
+    every principal angle.  Complete enumeration is exact: every pair's
+    value is the SVD of its s x s block, unless the Frobenius-norm prune of
+    ``_pair_values_max`` shows that it cannot reach the best.  When the pair
+    count exceeds ``cap`` pass ``sample_pairs`` to get a sampled lower bound
+    instead, from the SVD of every sampled pair's block.
     """
     if S.dim != X.n_cols:
         raise InvalidSupportError("support dimension must match the design")
@@ -685,13 +757,13 @@ def rno_constant(X: DesignMatrix, S: SupportSet, s: int,
         beta = _sampled_subsets(rng, comp.indices, s, sample_pairs)
         complete = False
         evaluated = sample_pairs
-    Ua = _masked_bases(X.entries, alpha)
-    Ub = _masked_bases(X.entries, beta)
+    R = _row_space(X.entries)
+    Ua = _masked_bases(R, alpha)
+    Ub = _masked_bases(R, beta)
     if complete:
         value, (ia, ib) = _pair_values_max(Ua, Ub)
     else:
-        C = np.einsum("ans,ant->ast", Ua, Ub)
-        sv = np.linalg.svd(C, compute_uv=False)[:, 0]
+        sv = _sigma_max(Ua, Ub)
         ia = ib = int(np.argmax(sv))
         value = float(min(max(sv[ia], 0.0), 1.0))
     witness = (SupportSet(X.n_cols, tuple(int(i) for i in alpha[ia])),
@@ -708,8 +780,12 @@ def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, 
 
     Every such pair is admissible for some boundary set (take S equal to the
     first support), so this equals the worst orthogonality constant over the
-    whole family of boundary sets of size at least s.  Returns the value and
-    the two supports that attain it.  Raises ValueError unless
+    whole family of boundary sets of size at least s.  The enumeration runs
+    on span bases in the design's row space (``_row_space``) through the
+    same prune as ``rno_constant`` (``_pair_values_max``); beyond the
+    bases, its memory is a few arrays of one chunk of about 200,000 pairs.
+    Returns the value and the first pair in enumeration order that attains
+    it.  Raises ValueError unless
     1 <= s <= d / 2, the sizes that have a disjoint pair, and
     EnumerationTooLargeError when the C(d, s) * C(d - s, s) / 2 unordered
     pairs exceed ``DEFAULT_ENUM_CAP``.
@@ -724,7 +800,7 @@ def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, 
     supports = _combinations(range(d), s)
     indicators = np.zeros((supports.shape[0], d))
     np.put_along_axis(indicators, supports, 1.0, axis=1)
-    bases = _masked_bases(X.entries, supports)
+    bases = _masked_bases(_row_space(X.entries), supports)
     value, (i, j) = _pair_values_max(bases, indicators=indicators)
     return (value, tuple(int(c) for c in supports[i]),
             tuple(int(c) for c in supports[j]))

@@ -66,6 +66,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _nonnegative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _seed_spec(value: int) -> SeedSpec:
     return SeedSpec(int(value))
 
@@ -129,6 +136,17 @@ def _write_json(payload: dict, path: str | None) -> None:
 def _gaussian_base(n, d, seed):
     rng = seeded_stream(seed)
     return normalize_columns(DesignMatrix(rng.standard_normal((n, d))))
+
+
+def _check_gen_counts(parser, args) -> None:
+    """Reject gen counts that exceed the columns they index."""
+    if args.k > args.d:
+        parser.error(f"argument --k: must be at most --d = {args.d}, got {args.k}")
+    if args.d_prime is not None and args.d_prime > args.d:
+        parser.error(f"argument --d-prime: must be at most --d = {args.d}, got {args.d_prime}")
+    if args.kind == "correlated" and args.groups > args.d - args.k:
+        parser.error(f"argument --groups: must be at most --d - --k = {args.d - args.k}, "
+                     f"got {args.groups}")
 
 
 def _cmd_gen(args) -> int:
@@ -290,16 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", required=True,
                    choices=["partial-rot", "semirandom", "adversary",
                             "counterexample", "correlated"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--k", type=int, default=0, help="support size (first k columns)")
+    g.add_argument("--n", type=_positive_int, required=True)
+    g.add_argument("--d", type=_positive_int, required=True)
+    g.add_argument("--k", type=_nonnegative_int, default=0,
+                   help="support size (first k columns)")
     g.add_argument("--rotation", choices=list(ROTATIONS), default="haar")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--base", help="optional existing design to start from")
-    g.add_argument("--d-prime", type=int, default=None, help="adversary column count")
+    g.add_argument("--d-prime", type=_positive_int, default=None,
+                   help="adversary column count, at most d")
     g.add_argument("--rho", type=float, default=0.0, help="correlated-group perturbation")
-    g.add_argument("--groups", type=int, default=1, help="number of correlated groups")
+    g.add_argument("--groups", type=_positive_int, default=1,
+                   help="number of correlated groups, at most d - k")
     g.set_defaults(func=_cmd_gen)
 
     c = sub.add_parser("cert", help="compute a certificate for a stored design")
@@ -321,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_cert)
 
     s = sub.add_parser("sparsify", help="Maurey-sample a sparse surrogate")
-    s.add_argument("--s", type=int, required=True)
+    s.add_argument("--s", type=_positive_int, required=True)
     s.add_argument("--matrix", required=True)
     s.add_argument("--beta", required=True, help="vector as JSON (inline or file)")
     s.add_argument("--seed", type=int, default=0)
@@ -354,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "gen":
+        _check_gen_counts(parser, args)
     if args.command == "exp":
         if args.name == "all" and args.config is not None:
             parser.error("--config applies to one experiment, not to 'all'")

@@ -431,14 +431,22 @@ class TestRnoConstant:
 
 def _oracle_designs():
     """A generic design, a duplicated column on orthonormal columns (ties at 1
-    and rank-one cross products, where ||C||_F = sigma_max), and a column in the
-    span of two others (a rank-deficient span of size 3)."""
+    and rank-one cross products, where ||C||_F = sigma_max), a column in the
+    span of two others (a rank-deficient span of size 3), a wide design
+    (n < d, enumerated on its own rows), a tall one (n >> d, enumerated on
+    its triangular factor), and orthonormal columns perturbed by 1e-9, whose
+    values are about 1e-9."""
     Q = orthonormal_design(12, 7, seed=5).entries
     dependent = gaussian_design(20, 8, seed=41).entries.copy()
     dependent[:, 2] = dependent[:, 0] + dependent[:, 1]
+    near = orthonormal_design(12, 8, seed=44).entries
+    near = near + 1e-9 * gaussian_design(12, 8, seed=45).entries
     return [gaussian_design(20, 7, seed=40),
             DesignMatrix(np.hstack([Q, Q[:, :1]]), normalized=True),
-            normalize_columns(DesignMatrix(dependent))]
+            normalize_columns(DesignMatrix(dependent)),
+            gaussian_design(7, 9, seed=42),
+            gaussian_design(300, 8, seed=43),
+            normalize_columns(DesignMatrix(near))]
 
 
 class TestRnoBruteForce:
@@ -482,6 +490,12 @@ class TestRnoBruteForce:
         with pytest.raises(ValueError, match="d/2"):
             max_rno_over_disjoint_pairs(gaussian_design(10, d, seed=1), s)
 
+    def test_spans_of_more_columns_than_rows(self):
+        # with n = 2 < s = 3 every span of three columns is the whole plane
+        X = gaussian_design(2, 7, seed=46)
+        assert max_rno_over_disjoint_pairs(X, 3)[0] == pytest.approx(1.0, abs=1e-12)
+        assert rno_constant(X, SupportSet(7, (0, 1, 2)), 3).value == pytest.approx(1.0, abs=1e-12)
+
     def test_duplicated_column_ties_at_one(self):
         X = _oracle_designs()[1]
         for s in (1, 2, 3):
@@ -491,15 +505,17 @@ class TestRnoBruteForce:
 
 
 def test_disjoint_pair_enumeration_memory_is_bounded():
-    # d = 22 has 746,130 unordered pairs, the most at s = 3 under the cap
-    X = gaussian_design(60, 22, seed=77)
-    tracemalloc.start()
-    try:
-        max_rno_over_disjoint_pairs(X, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    # d = 22 has 746,130 unordered pairs, the most at s = 3 under the cap;
+    # d = 16 has 450,450 at s = 4, where thousands of pairs a chunk reach the floor
+    for d, s in ((22, 3), (16, 4)):
+        X = gaussian_design(60, d, seed=77)
+        tracemalloc.start()
+        try:
+            max_rno_over_disjoint_pairs(X, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (d, s)
 
 
 def test_disjoint_pair_enumeration_cap_raises_before_building():

@@ -45,6 +45,25 @@ class TestGen:
         S = read_support(tmp_path / "adv.support.json")
         assert S.indices == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--kind", "partial-rot", "--n", 0], "--n"),
+        (["--kind", "partial-rot", "--d", 0], "--d"),
+        (["--kind", "partial-rot", "--k", -1], "--k"),
+        (["--kind", "partial-rot", "--k", 9], "--k"),
+        (["--kind", "adversary", "--d-prime", -3], "--d-prime"),
+        (["--kind", "adversary", "--d-prime", 10], "--d-prime"),
+        (["--kind", "correlated", "--k", 2, "--groups", 0], "--groups"),
+        (["--kind", "correlated", "--k", 2, "--groups", 5], "--groups"),
+    ], ids=["n-zero", "d-zero", "k-negative", "k-above-d", "d-prime-negative", "d-prime-above-d",
+            "groups-zero", "groups-above-d-minus-k"])
+    def test_bad_counts_rejected(self, flags, flag, tmp_path, capsys):
+        out = tmp_path / "bad"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen", "--n", 12, "--d", 6, "--seed", 1, "--out", out, *flags])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_gen_is_deterministic(self, tmp_path):
         for name in ("a", "b"):
             run_cli(["gen", "--kind", "correlated", "--n", 12, "--d", 5, "--k", 2,
@@ -162,6 +181,17 @@ class TestSparsifyAndLasso:
         data = json.loads(res.read_text())
         assert len(data["beta_prime"]["terms"]) <= 4
         assert data["error"] <= data["bound"]
+
+    def test_sparsify_rejects_s_below_one(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        run_cli(["gen", "--kind", "correlated", "--n", 20, "--d", 12, "--k", 3,
+                 "--seed", 6, "--out", out])
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sparsify", "--s", 0, "--matrix", out, "--beta", "[1.0, 1.0]",
+                     "--out", tmp_path / "sp.json"])
+        assert exc.value.code == 2
+        assert "argument --s:" in capsys.readouterr().err
+        assert not (tmp_path / "sp.json").exists()
 
     def test_lasso_synthesize(self, tmp_path):
         out = tmp_path / "m"

@@ -5,10 +5,10 @@ smallest eigenvalue) are certified by feasible points, so reported values are
 upper bounds on the true constants; they equal the objective at the returned
 witness.  Maximization constants (restricted normalized orthogonality,
 restricted isometry deviation) are exact when computed by complete
-enumeration, and lower bounds when sampled.  The isometry enumeration screens
-every support by the end eigenvalues of its block of the Gram matrix, then
-rechecks by SVD every support that screens within a derived rounding slack
-of the best, so its value and witness are those of an SVD of every support.
+enumeration, and lower bounds when sampled.  The isometry enumeration takes
+the SVD of every support except those that a Cholesky test on their block
+of the Gram matrix places a derived rounding margin below the best, so its
+value and witness are those of an SVD of every support.
 
 Computing a restricted eigenvalue exactly is intractable in general.  When
 the certified set covers every column, both variants are the smallest
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 import numpy as np
@@ -45,6 +45,7 @@ from .core import (
     SupportSet,
     orthonormal_basis,
     seeded_stream,
+    sparse_vector_to_json_dict,
 )
 
 DEFAULT_ENUM_CAP = 1_000_000
@@ -85,14 +86,7 @@ class SolverReport:
     complete: bool | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-            "residual": self.residual,
-            "converged": self.converged,
-            "spread": self.spread,
-            "complete": self.complete,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -106,7 +100,7 @@ class Certificate:
     def to_json_dict(self) -> dict:
         w = self.witness
         if isinstance(w, SparseVector):
-            witness = {"type": "vector", "dim": w.dim, "terms": [[i, v] for i, v in w.terms]}
+            witness = {"type": "vector", **sparse_vector_to_json_dict(w)}
         elif isinstance(w, SupportSet):
             witness = {"type": "support", "dim": w.dim, "indices": list(w.indices)}
         elif isinstance(w, tuple) and len(w) == 2 and all(isinstance(x, SupportSet) for x in w):
@@ -806,64 +800,42 @@ def max_rno_over_disjoint_pairs(X: DesignMatrix, s: int) -> tuple[float, tuple, 
             tuple(int(c) for c in supports[j]))
 
 
-def _rip_screen_slack(G, n, s):
-    """Twice a bound on the gap between a screened and an SVD deviation.
-
-    Let u be the unit roundoff and c = max(1, max_i G_ii) bound the squared
-    column norms.  Each entry of G = E^T E is within n*u*|e_i||e_j| of exact,
-    so an s x s block is within n*u*trace(G_S) <= n*u*s*c in spectral norm,
-    and eigvalsh adds a backward error of about s*u*|G_S| <= s*u*s*c.  Weyl's
-    inequality then puts each computed eigenvalue within
-    eps_lam = (n + s)*u*s*c of exact, with a factor 4 of headroom.  As
-    |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) for a, b >= 0, the sigma_min term
-    of the screened deviation is off by at most sqrt(eps_lam); the sigma_max
-    term by as much in any case, and by eps_lam/2 once unit columns give
-    lambda_max >= 1.  The SVD of the n x s columns is exact for a
-    perturbation of norm about (n + s)*u*|E_S| <= (n + s)*u*sqrt(s*c), again
-    with a factor 4, and that moves each singular value, hence the
-    deviation, by at most that much, eps_svd.  A screened deviation is so
-    within sqrt(eps_lam) + eps_svd of the SVD's, and the support that wins
-    by SVD screens within twice that of the best screened value.
-    ``_rip_clear_margin`` extends the eigenvalue bound to the Cholesky test
-    that clears supports before they are screened.
-    """
-    u = np.finfo(float).eps / 2
-    scale = s * max(float(G.diagonal().max()), 1.0)
-    eps_lam = 4.0 * (n + s) * u * scale
-    eps_svd = 4.0 * (n + s) * u * math.sqrt(scale)
-    return 2.0 * (math.sqrt(eps_lam) + eps_svd)
-
-
 def _rip_clear_margin(G, n, s):
-    """How far below the screen's recheck floor a Cholesky clearance stays.
+    """How far below the best deviation a Cholesky clearance stays.
 
-    With u, c and eps_lam as in ``_rip_screen_slack``, let scale = s*c and
-    run the two factorisations of ``_rip_cleared`` on the very block G_S
-    that eigvalsh screens, at a threshold tau > 0.  They factor
-    A = G_S - a*I and A = b*I - G_S, with a = max(1 - tau, 0)^2 <= 1 and
-    b = (1 + tau)^2 <= 4*scale (tau lies below a screened deviation, at most
-    about max(1, sqrt(scale))).  So A's diagonal is at most 4*scale in size,
-    forming it rounds by at most 4*u*scale, and trace(A) <= 4*s*scale.  A
-    factorisation that completes gives A + dA = R^T R with
-    |dA| <= gamma_{s+1}*|R^T||R| whatever order its sums take (Higham 2002,
-    section 10.1; Demmel 1989), hence
+    Let u be the unit roundoff, c = max(1, max_i G_ii) bound the squared
+    column norms and scale = s*c, and run the two factorisations of
+    ``_rip_cleared`` on the block G_S of G = E^T E at a threshold tau > 0.
+    Each entry of G is within n*u*|e_i||e_j| of exact, so G_S is within
+    eps_g = n*u*trace(G_S) <= n*u*scale of the exact E_S^T E_S in norm.  The
+    factorisations factor A = G_S - a*I and A = b*I - G_S, with
+    a = max(1 - tau, 0)^2 <= 1 and b = (1 + tau)^2 <= 4*scale (tau lies
+    below an SVD deviation, at most max(1, sqrt(scale))).  So A's diagonal
+    is at most 4*scale in size, forming it rounds by at most 4*u*scale, and
+    trace(A) <= 4*s*scale.  A factorisation that completes gives
+    A + dA = R^T R with |dA| <= gamma_{s+1}*|R^T||R| whatever order its sums
+    take (Higham 2002, section 10.1; Demmel 1989), hence
     ||dA|| <= gamma_{s+1}*||R||_F^2 = gamma_{s+1}*trace(A + dA), at most
     about (s + 1)*u*trace(A).  With the rounding of the diagonal, R^T R is
-    within eps_chol = 4*(s + 1)^2*u*scale in norm of the exact G_S - a*I (or
+    within eps_chol = 4*(s + 1)^2*u*scale in norm of G_S - a*I (or
     b*I - G_S), and it is positive definite.  So two completed
-    factorisations give lambda_min(G_S) > a - eps_chol and
-    lambda_max(G_S) < b + eps_chol.  eigvalsh moves each by at most
-    eps_lam/4 (eps_lam carries a factor 4 of headroom), and by the
-    square-root inequality of ``_rip_screen_slack``, with 1 - sqrt(a) <= tau
-    and sqrt(b) - 1 = tau, both terms of the screened deviation lie below
-    tau + sqrt(eps_chol + eps_lam/4).  The margin is four times that root.
-    A support cleared at tau = best - slack - margin thus screens below
-    best - slack - 3*margin/4, outside the recheck set, and the excess covers
-    the rounding of tau, a and b.
+    factorisations put every exact squared singular value of E_S (zero
+    included when E has fewer rows than S has columns) inside
+    (a - eps, b + eps) with eps = eps_chol + eps_g + s*u*scale, the last
+    term headroom.  As |sqrt(x) - sqrt(y)| <= sqrt(|x - y|) for x, y >= 0,
+    with 1 - sqrt(a) <= tau and sqrt(b) - 1 = tau, the exact deviation lies
+    below tau + sqrt(eps).  The SVD of the n x s columns is exact for a
+    perturbation of norm about (n + s)*u*|E_S| <= (n + s)*u*sqrt(scale),
+    which moves each singular value by at most as much; with a factor 4 of
+    headroom that is eps_svd.  The margin is 4*sqrt(eps) + 2*eps_svd, so a
+    support cleared at tau = best - margin has an SVD deviation below
+    best - 3*sqrt(eps) - eps_svd, under best by more than half the margin,
+    and the excess covers the rounding of tau, a and b.
     """
     u = np.finfo(float).eps / 2
     scale = s * max(float(G.diagonal().max()), 1.0)
-    return 4.0 * math.sqrt(u * scale * (n + s + 4 * (s + 1) ** 2))
+    return (4.0 * math.sqrt(u * scale * (n + s + 4 * (s + 1) ** 2))
+            + 8.0 * (n + s) * u * math.sqrt(scale))
 
 
 def _rip_cleared(B, tau):
@@ -890,10 +862,14 @@ def _rip_cleared(B, tau):
     return ok.all(axis=0)
 
 
-def _rip_screened(G, T):
-    """Deviation of each support (row of T) from the end eigenvalues of its Gram block."""
-    lam = np.linalg.eigvalsh(G[T[:, :, None], T[:, None, :]])
-    return np.maximum(1.0 - np.sqrt(np.maximum(lam[:, 0], 0.0)), np.sqrt(lam[:, -1]) - 1.0)
+def _rip_deviation(E, T):
+    """max(1 - sigma_min, sigma_max - 1) of the columns of E in each row of T, by SVD.
+
+    With fewer rows than columns, sigma_min is 0.
+    """
+    sv = np.linalg.svd(np.moveaxis(E[:, T], 0, 1), compute_uv=False)
+    sigma_min = sv[:, -1] if E.shape[0] >= T.shape[1] else 0.0
+    return np.maximum(1.0 - sigma_min, sv[:, 0] - 1.0)
 
 
 def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
@@ -903,24 +879,18 @@ def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
 
     The caller passes the design with unit columns (the normalized convention
     divided by sqrt(n)); the value is max(1 - sigma_min, sigma_max - 1) over
-    supports of size exactly s, which dominates all smaller supports.
+    supports of size exactly s, which dominates all smaller supports.  The
+    value and witness (the first maximiser in enumeration order) are those
+    of an SVD of every support's n x s columns (``_rip_deviation``).
 
-    A screen reads a support's deviation from the end eigenvalues of its
-    s x s block of G = E^T E.  Every support whose screened deviation lies
-    within a rounding slack of the best (``_rip_screen_slack``) is then
-    rechecked by the SVD of its n x s columns, and the value and witness (the
-    first maximiser in enumeration order) come from those SVDs, so they equal
-    an SVD of every support.  The report's residual is the largest gap
-    between a screened and a rechecked deviation, at most half the slack.
-
-    Most supports never reach the screen.  Chunk by chunk, the 8 blocks
-    farthest from I in Frobenius norm are screened first; then, with best the
-    largest deviation screened so far, two Cholesky factorisations
-    (``_rip_cleared``) at tau = best - slack - margin clear every block whose
+    Most supports need no SVD.  Chunk by chunk, the 8 blocks of G = E^T E
+    farthest from I in Frobenius norm get their SVD first; then, with best
+    the largest deviation so far, two Cholesky factorisations
+    (``_rip_cleared``) at tau = best - margin clear every block whose
     eigenvalues they place inside ((1 - tau)^2, (1 + tau)^2).  The margin
-    (``_rip_clear_margin``) bounds the Cholesky and eigvalsh rounding, so a
-    cleared support screens below best - slack, outside the recheck set,
-    and skipping its screen changes no output.  The other blocks are screened.
+    (``_rip_clear_margin``) bounds the rounding of G, the Cholesky and the
+    SVD, so a cleared support's SVD deviation lies below best and skipping
+    it changes no output.  Every other support gets its SVD.
     """
     d = X_unit.n_cols
     if not 1 <= s <= d:
@@ -942,46 +912,34 @@ def rip_constant(X_unit: DesignMatrix, s: int, cap: int = DEFAULT_ENUM_CAP,
         complete = False
     E = X_unit.entries
     G = E.T @ E
-    slack = _rip_screen_slack(G, X_unit.n_rows, s)
     margin = _rip_clear_margin(G, X_unit.n_rows, s)
     flat = G.ravel()
     eye = np.eye(s)[:, :, None]
     chunk = 4096
-    screened = np.full(supports.shape[0], -np.inf)
     best = -np.inf
+    best_i = 0
     for lo in range(0, supports.shape[0], chunk):
         T = supports[lo:lo + chunk]
         B = flat[T.T[:, None] * d + T.T[None, :]]
         D = B - eye
         far = np.einsum("ijm,ijm->m", D, D)
         lead = np.argpartition(far, -min(8, far.size))[-8:]
-        vals = screened[lo:lo + chunk]
-        vals[lead] = _rip_screened(G, T[lead])
-        best = max(best, float(vals[lead].max()))
-        tau = best - slack - margin
+        vals = np.full(T.shape[0], -np.inf)
+        vals[lead] = _rip_deviation(E, T[lead])
+        tau = max(best, float(vals[lead].max())) - margin
         todo = ~_rip_cleared(B, tau) if tau > 0.0 else np.ones(T.shape[0], dtype=bool)
         todo[lead] = False
         if todo.any():
-            vals[todo] = _rip_screened(G, T[todo])
-            best = max(best, float(vals[todo].max()))
-    rechecked = np.flatnonzero(screened >= screened.max() - slack)
-    best = -1.0
-    best_i = 0
-    residual = 0.0
-    for lo in range(0, rechecked.size, chunk):
-        idx = rechecked[lo:lo + chunk]
-        sv = np.linalg.svd(np.moveaxis(E[:, supports[idx]], 0, 1), compute_uv=False)
-        dev = np.maximum(1.0 - sv[:, -1], sv[:, 0] - 1.0)
-        residual = max(residual, float(np.abs(dev - screened[idx]).max()))
-        i = int(np.argmax(dev))
-        if float(dev[i]) > best:
-            best = float(dev[i])
-            best_i = int(idx[i])
+            vals[todo] = _rip_deviation(E, T[todo])
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            best_i = lo + i
     witness = SupportSet(d, tuple(int(i) for i in supports[best_i]))
     return Certificate(
         kind=KIND_RIP, value=best, witness=witness, method="enumeration",
         solver_report=SolverReport(iterations=supports.shape[0], restarts=1,
-                                   residual=residual, complete=complete),
+                                   complete=complete),
     )
 
 

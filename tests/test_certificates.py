@@ -45,7 +45,6 @@ from rotlasso.certificates import (
     _re_joint,
     _rip_clear_margin,
     _rip_cleared,
-    _rip_screen_slack,
     _sampled_subsets,
     _step,
     max_rno_over_disjoint_pairs,
@@ -495,6 +494,9 @@ class TestRnoBruteForce:
         X = gaussian_design(2, 7, seed=46)
         assert max_rno_over_disjoint_pairs(X, 3)[0] == pytest.approx(1.0, abs=1e-12)
         assert rno_constant(X, SupportSet(7, (0, 1, 2)), 3).value == pytest.approx(1.0, abs=1e-12)
+        # and every three of its columns have sigma_min = 0, a deviation of 1
+        cert = rip_constant(DesignMatrix(X.entries / math.sqrt(2)), 3)
+        assert (cert.value, cert.witness.indices) == (1.0, (0, 1, 2))
 
     def test_duplicated_column_ties_at_one(self):
         X = _oracle_designs()[1]
@@ -568,27 +570,28 @@ class TestRipConstant:
 
 def _svd_deviation(Xu, T):
     sv = np.linalg.svd(Xu.entries[:, list(T)], compute_uv=False)
-    return max(1.0 - sv[-1], sv[0] - 1.0)
+    sigma_min = sv[-1] if Xu.n_rows >= len(T) else 0.0
+    return max(1.0 - sigma_min, sv[0] - 1.0)
 
 
 def _rip_oracle_designs():
     """The RNO oracle designs, whose duplicated and dependent columns make
     some supports exactly singular; orthonormal columns, on which every
-    support ties; and two columns within 1e-9 and 3e-9 of two others.  There
+    support ties; two columns within 1e-9 and 3e-9 of two others, where
     sigma_min is below 1e-9 and the square root of a rounded Gram eigenvalue
-    errs by up to about 2e-8: the screened value alone is wrong, and its
-    order misranks the winner, so that rechecking only the screen's leaders
-    misses it by about 1e-9."""
+    errs by up to about 2e-8, enough to misrank the winner; and two rows,
+    fewer than the columns of a support of size 3, whose sigma_min is 0."""
     near = gaussian_design(20, 8, seed=56).entries.copy()
     noise = np.random.default_rng(56).standard_normal((20, 2))
     near[:, 7] = near[:, 0] + 1e-9 * noise[:, 0]
     near[:, 6] = near[:, 1] + 3e-9 * noise[:, 1]
     return _oracle_designs() + [orthonormal_design(12, 8, seed=7),
-                                normalize_columns(DesignMatrix(near))]
+                                normalize_columns(DesignMatrix(near)),
+                                gaussian_design(2, 7, seed=46)]
 
 
 class TestRipBruteForce:
-    """The Gram screen with its SVD recheck against a per-support SVD loop."""
+    """The enumeration against a per-support SVD loop."""
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -611,30 +614,15 @@ class TestRipBruteForce:
             witness_dev = _svd_deviation(Xu, cert.witness.indices)
             assert witness_dev == pytest.approx(brute, abs=1e-12)
             assert abs(witness_dev - cert.value) <= 1e-12 * max(1.0, cert.value)
-            G = Xu.entries.T @ Xu.entries
-            assert cert.solver_report.residual <= _rip_screen_slack(G, n, s) / 2
 
 
-def _rip_screen_everything(Xu, s, supports):
-    """The screen without clearance, as a reference: eigvalsh of every
-    support's Gram block, then an SVD recheck of every support that screens
-    within ``_rip_screen_slack`` of the best.  Returns the certificate fields
-    rip_constant reports."""
-    E = Xu.entries
-    G = E.T @ E
-    lam = np.linalg.eigvalsh(G[supports[:, :, None], supports[:, None, :]])
-    screened = np.maximum(1.0 - np.sqrt(np.maximum(lam[:, 0], 0.0)), np.sqrt(lam[:, -1]) - 1.0)
-    rechecked = np.flatnonzero(screened >= screened.max() - _rip_screen_slack(G, Xu.n_rows, s))
-    sv = np.linalg.svd(np.moveaxis(E[:, supports[rechecked]], 0, 1), compute_uv=False)
-    dev = np.maximum(1.0 - sv[:, -1], sv[:, 0] - 1.0)
+def _rip_svd_everything(Xu, supports):
+    """The SVD of every support, one at a time, as a reference.  Returns
+    the largest deviation, the first support that attains it, and the
+    number of supports."""
+    dev = [_svd_deviation(Xu, T) for T in supports]
     i = int(np.argmax(dev))
-    return (float(dev[i]), tuple(int(c) for c in supports[rechecked[i]]),
-            float(np.abs(dev - screened[rechecked]).max()), len(supports))
-
-
-def _rip_fields(cert):
-    r = cert.solver_report
-    return cert.value, cert.witness.indices, r.residual, r.iterations
+    return float(dev[i]), tuple(int(c) for c in supports[i]), len(supports)
 
 
 def _unequal_norm_design(n, d, seed):
@@ -645,8 +633,8 @@ def _unequal_norm_design(n, d, seed):
 
 
 class TestRipClearance:
-    """Supports cleared by the Cholesky test leave every output of the
-    screen-everything reference unchanged, bit for bit."""
+    """Supports cleared by the Cholesky test leave every output of an SVD
+    of every support unchanged, bit for bit."""
 
     @staticmethod
     def _check(Xu, s, sample=None, seed=None):
@@ -658,7 +646,9 @@ class TestRipClearance:
             cert = rip_constant(Xu, s, sample_supports=sample, seed=seed)
             supports = _sampled_subsets(seeded_stream(seed), np.arange(d), s, sample)
         assert cert.solver_report.complete is (sample is None)
-        assert _rip_fields(cert) == _rip_screen_everything(Xu, s, supports)
+        assert cert.solver_report.residual == 0.0
+        assert ((cert.value, cert.witness.indices, cert.solver_report.iterations)
+                == _rip_svd_everything(Xu, supports))
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_oracle_designs(self, s):
@@ -699,41 +689,42 @@ class TestRipClearance:
         cert = json.loads(out.read_text())
         supports = np.array(list(itertools.combinations(range(12), s)), dtype=np.intp)
         report = cert["solver_report"]
-        assert report["complete"] is True
-        assert ((cert["value"], tuple(cert["witness"]["indices"]), report["residual"],
-                 report["iterations"]) == _rip_screen_everything(Xu, s, supports))
+        assert report["complete"] is True and report["residual"] == 0.0
+        assert ((cert["value"], tuple(cert["witness"]["indices"]), report["iterations"])
+                == _rip_svd_everything(Xu, supports))
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_cleared_supports_keep_the_margin(self, s, monkeypatch):
         # Orthogonal columns with chosen norms: a support's deviation is the
         # largest |norm - 1| among its columns.  Nine columns of norm 1.5 fill
         # the leads and set the best, 0.5.  Ten columns sit j/8 margins below
-        # the recheck floor 0.5 - slack, j = 1..10, and six have norm 1.  A
-        # cleared support must screen at least half a margin below the floor,
-        # so columns j <= 3 must never be cleared, and columns j >= 9 are.
+        # the best, j = 1..10, and six have norm 1.  A cleared support's SVD
+        # deviation must lie more than half a margin below the best, so
+        # columns j <= 3 must never be cleared, and columns j >= 9 are.
         d = 25
         probe = np.diag(np.r_[np.full(9, 1.5), np.ones(d - 9)])
-        G0 = probe.T @ probe
-        slack, margin = _rip_screen_slack(G0, d, s), _rip_clear_margin(G0, d, s)
-        norms = np.r_[np.full(9, 1.5), 1.5 - slack - np.arange(1, 11) * margin / 8, np.ones(6)]
+        margin = _rip_clear_margin(probe.T @ probe, d, s)
+        norms = np.r_[np.full(9, 1.5), 1.5 - np.arange(1, 11) * margin / 8, np.ones(6)]
         Xu = DesignMatrix(np.diag(norms))
-        G = Xu.entries.T @ Xu.entries
-        assert (_rip_screen_slack(G, d, s), _rip_clear_margin(G, d, s)) == (slack, margin)
+        assert _rip_clear_margin(Xu.entries.T @ Xu.entries, d, s) == margin
         cleared = []
 
         def spy(B, tau):
             ok = _rip_cleared(B, tau)
-            cleared.append(np.moveaxis(B[:, :, ok], 2, 0))
+            cleared.append(ok)
             return ok
 
         monkeypatch.setattr(certificates, "_rip_cleared", spy)
         self._check(Xu, s)
-        lam = np.linalg.eigvalsh(np.concatenate(cleared))
-        screened = np.maximum(1.0 - np.sqrt(lam[:, 0]), np.sqrt(lam[:, -1]) - 1.0)
-        assert screened.size > 0
-        assert screened.max() < 0.5 - slack - margin / 2
-        # every support within the columns j >= 9 and those of norm 1 is cleared
-        assert screened.size >= comb(8, s)
+        # one chunk, so the mask runs over the supports in enumeration order
+        supports = list(itertools.combinations(range(d), s))
+        (ok,) = cleared
+        dev = np.array([_svd_deviation(Xu, T) for T in supports])
+        assert dev.max() == 0.5
+        assert dev[ok].max() < 0.5 - margin / 2
+        cols = [set(T) for T in supports]
+        assert not any(ok[i] and c & {9, 10, 11} for i, c in enumerate(cols))
+        assert all(ok[i] for i, c in enumerate(cols) if c <= set(range(17, d)))
 
 
 def test_rip_enumeration_memory_is_bounded():

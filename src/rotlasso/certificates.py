@@ -24,6 +24,15 @@ S') is one batched monotone projected-gradient descent over the cone from 64
 and more restarts.  Each of its steps maps back by the exact Euclidean
 projection onto the convex piece of the cone around the point the step
 starts from, so a finished descent is stationary.
+
+Both descents (the joint one and the tight one of mode gamma) stop on a
+certificate: once the best column's fixed-point residual is at most
+sqrt(u) lambda_max(G), u the unit roundoff.  The objective is second order
+in that residual at a stationary point, so the tolerance leaves the value
+within rounding, times the local condition number, of a descent run to the
+end (``_descend`` gives the derivation).  A relative-fall rule only detects
+stalls, and the report says which rule stopped the descent; a joint descent
+is ``converged`` only when the residual test passed.
 """
 from __future__ import annotations
 
@@ -84,6 +93,8 @@ class SolverReport:
     converged: bool = True
     spread: float | None = None
     complete: bool | None = None
+    # the rule that ended an iterative descent: "residual", "stall" or "cap"
+    stop: str | None = None
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -244,7 +255,7 @@ def _feasible(G, Z, p, den, L, sigma):
     return Z, GZ, rho if every else np.where(alive, rho, np.inf)
 
 
-def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
+def _descend(G, Z, p, den, L, step0, max_iter, window, rtol, *, certify=True):
     """Monotone projected gradient on z^T G z / ||z_den||^2, batched over columns.
 
     Each step follows the Rayleigh gradient 2 (G z - rho z_den) and maps back
@@ -252,17 +263,54 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
     around the current point, so a column stops moving only at a stationary
     point.  A column's step grows by 2% after an accepted step and halves
     after a rejected one, so no column's objective ever rises.  Start
-    columns with a vanishing denominator are dropped.  Stops once no column's
-    objective fell by a relative ``rtol`` over the last ``window`` iterations.
-    Returns (Z, rho, iterations).
+    columns with a vanishing denominator are dropped.
+
+    Every 20 iterations the best column's fixed-point residual
+    ||z - P(z - t grad)|| / t, with t = ``step0`` = 1 / (2 lambda_max(G)) and
+    P = ``_feasible`` on z's sign pattern, is tested against
+    sqrt(u) lambda_max(G), u the unit roundoff, and the descent stops once it
+    passes.  The residual vanishes exactly at a stationary point.  The
+    tolerance is derived, not tuned.  The residual is the length of one
+    projected-gradient step divided by t, and z and its step are unit-scale
+    vectors each rounded to about u, so the residual cannot be resolved
+    below about u / t = 2 u lambda_max(G).  Near a stationary point z* the
+    objective is second order in the residual r: z lies about r / mu from
+    z*, mu the local curvature, and rho within about r^2 / (2 mu) of
+    rho(z*).  At r = sqrt(u) lambda_max(G), the geometric mean of that
+    rounding floor and the scale lambda_max(G), this is u lambda_max(G)
+    times lambda_max(G) / (2 mu): the rounding of rho = z^T G z itself
+    (about u lambda_max(G) for unit z) times the local condition number.
+    So the remaining iterations of a descent run to the end could move the
+    best value only within rounding, up to that factor.
+    A stall detector stops the descent once no column's objective fell by a
+    relative ``rtol`` over the last ``window`` iterations.
+    ``certify=False`` turns the residual test off, so that every column runs
+    the same path as alone.
+
+    Returns (Z, rho, iterations, residual, stop), with ``residual`` that of
+    the best column at exit and ``stop`` the rule that ended the descent:
+    "residual", "stall" or "cap".
     """
+    tol = math.sqrt(np.finfo(float).eps / 2) / (2.0 * step0) if certify else -math.inf
     Z, GZ, rho = _feasible(G, Z, p, den, L, np.sign(Z[:p]))
     keep = np.isfinite(rho)
     Z, GZ, rho = Z[:, keep], GZ[:, keep], rho[keep]
     eta = np.full(rho.size, step0)
     rho_window = rho.copy()
+
+    def best_residual():
+        if not rho.size:
+            return math.inf
+        b = int(np.argmin(rho))
+        z, grad = Z[:, b], 2.0 * GZ[:, b]
+        grad[den] -= 2.0 * rho[b] * z[den]
+        moved, _, _ = _feasible(G, (z - step0 * grad)[:, None], p, den, L,
+                                np.sign(z[:p, None]))
+        return float(np.linalg.norm(moved[:, 0] - z)) / step0
+
     it = 0
-    while it < max_iter:
+    stop = "cap"
+    while it < max_iter and stop == "cap":
         grad = 2.0 * GZ
         grad[den] -= 2.0 * rho * Z[den]
         Z1, GZ1, rho1 = _feasible(G, Z - eta * grad, p, den, L, np.sign(Z[:p]))
@@ -276,12 +324,14 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol):
             GZ = np.where(accept, GZ1, GZ)
             rho = np.where(accept, rho1, rho)
         it += 1
-        if it % window == 0:
+        if it % 20 == 0 and best_residual() <= tol:
+            stop = "residual"
+        elif it % window == 0:
             rel = (rho_window - rho) / np.maximum(np.abs(rho_window), 1e-300)
             if np.max(rel) < rtol:
-                break
+                stop = "stall"
             rho_window = rho.copy()
-    return Z, rho, it
+    return Z, rho, it, best_residual(), stop
 
 
 def _starts(G, p, sp, L, seed, n_starts):
@@ -412,14 +462,14 @@ def _gamma_from_directions(G, p, L, U, inner_cap):
     Zl, fl, its_light, _, _ = _polish_decomposed(
         G, p, Z[:, np.argsort(f, kind="stable")[:8]], L, step_inner, _LIGHT_INNER_TOL,
         _LIGHT_INNER_CAP, max_outer=10)
-    Z, _, _ = _descend(G, Zl[:, [int(np.argmin(fl))]], p, slice(None, p), L, _step(G),
-                       max_iter=6000, window=100, rtol=1e-14)
+    Z, _, _, _, stop = _descend(G, Zl[:, [int(np.argmin(fl))]], p, slice(None, p), L,
+                                _step(G), max_iter=6000, window=100, rtol=1e-14)
     Z, _, its, worst_res, ok = _polish_decomposed(G, p, Z, L, step_inner, _INNER_TOL,
                                                   inner_cap)
     z = Z[:, 0]
     report = SolverReport(iterations=total + its_light + its,
                           restarts=U.shape[1], residual=worst_res, converged=ok,
-                          spread=float(np.max(f) - np.min(f)))
+                          spread=float(np.max(f) - np.min(f)), stop=stop)
     return z, report
 
 
@@ -427,21 +477,13 @@ def _re_joint(G, p, sp, den, L, seed, n_starts, max_iter=8000):
     """Joint descent over the whole cone; used for mode gamma_prime (``den``
     every row) and for mode gamma with a cone support strictly larger than
     S' (``den`` = ``sp``, the rows of S')."""
-    step0 = _step(G)
-    Z, rho, it = _descend(G, _starts(G, p, sp, L, seed, n_starts), p, den, L, step0,
-                          max_iter=max_iter, window=80, rtol=1e-13)
-    best = int(np.argmin(rho))
-    z = Z[:, best].copy()
-    grad = 2.0 * (G @ z)
-    grad[den] -= 2.0 * rho[best] * z[den]
-    # projected-gradient fixed-point residual ||z - P(z - t grad)|| / t
-    moved, _, _ = _feasible(G, (z - step0 * grad)[:, None], p, den, L,
-                            np.sign(z[:p, None]))
-    report = SolverReport(iterations=it, restarts=Z.shape[1],
-                          residual=float(np.linalg.norm(moved[:, 0] - z)) / step0,
-                          converged=it < max_iter,
-                          spread=float(np.max(rho) - np.min(rho)))
-    return z, report
+    Z, rho, it, residual, stop = _descend(G, _starts(G, p, sp, L, seed, n_starts), p, den,
+                                          L, _step(G), max_iter=max_iter, window=80,
+                                          rtol=1e-13)
+    report = SolverReport(iterations=it, restarts=Z.shape[1], residual=residual,
+                          converged=stop == "residual",
+                          spread=float(np.max(rho) - np.min(rho)), stop=stop)
+    return Z[:, int(np.argmin(rho))], report
 
 
 def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
@@ -469,6 +511,11 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     from the same restarts, on the exact projection onto the convex piece of
     the cone around each iterate.  ``max_inner_iter`` caps each inner solve
     of the final polish of mode ``gamma``.
+
+    The report's ``stop`` names the rule that ended the descent
+    (``residual``, ``stall`` or ``cap``).  ``converged`` means, for the joint
+    descent, that its residual test passed, and in the mode ``gamma``
+    pipeline that every inner solve of the final polish converged.
     """
     if mode not in ("gamma", "gamma_prime"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -257,6 +257,7 @@ def _cmd_lasso(args) -> int:
         "converged": sol.converged,
         "iterations": sol.iterations,
         "fixed_point_residual": sol.fixed_point_residual,
+        "duality_gap": sol.duality_gap,
     }
     if beta_true is not None:
         payload["prediction_error"] = prediction_error(X, sol.beta_hat, beta_true)

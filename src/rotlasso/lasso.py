@@ -8,7 +8,9 @@ Its step is 1/L for L = sigma_max(X)^2 (gradient of the half-residual), the
 top eigenvalue of the smaller of X^T X and X X^T.  A candidate that would
 raise the objective is rejected, which keeps the objective trace
 non-increasing.  The solve closes with one plain projected-gradient step,
-whose length is a checkable fixed-point optimality residual.
+whose length is a checkable fixed-point optimality residual, and reports the
+duality gap at its end point, a bound on its objective's distance to the
+optimum.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ class LassoSolution:
     iterations: int
     converged: bool
     fixed_point_residual: float = 0.0
+    duality_gap: float = 0.0
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
@@ -96,6 +99,12 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     ``LASSO_MAX_ITER``.  One plain projected-gradient step from the kept point
     then gives beta_hat; its length is the ``fixed_point_residual`` and decides
     ``converged``.  The solution is feasible either way.
+
+    ``duality_gap`` is the Frank-Wolfe gap g^T beta_hat + radius ||g||_inf of
+    the objective f(b) = ||y - X b||^2 at beta_hat, g = grad f(beta_hat):
+    f is convex, so f(beta_hat) - f(b) <= g^T (beta_hat - b) for every b in
+    the ball, and the right side is at most the gap.  It bounds the
+    objective's distance to the optimum from one X^T r at beta_hat.
     """
     if not radius >= 0:
         raise ValueError("radius must be non-negative, not NaN")
@@ -104,7 +113,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     if radius == 0.0:
         obj = float(y @ y)
         return LassoSolution(np.zeros(instance.X.n_cols), 0.0, obj, 0, True,
-                             0.0, np.array([obj]))
+                             objective_trace=np.array([obj]))
 
     # sigma_max(X)^2 is the top eigenvalue of the smaller Gram matrix
     gram = X @ X.T if X.shape[0] < X.shape[1] else X.T @ X
@@ -148,6 +157,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     res = float(np.linalg.norm(b_new - b))
     trace.append(float(r @ r))
     converged = res <= 1e-6 * (1.0 + float(np.linalg.norm(b_new)))
+    g = 2.0 * (X.T @ r)
     return LassoSolution(
         beta_hat=b_new,
         radius=radius,
@@ -155,6 +165,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
         iterations=it + 1,
         converged=converged,
         fixed_point_residual=res,
+        duality_gap=float(g @ b_new) + radius * float(np.abs(g).max()),
         objective_trace=np.asarray(trace),
     )
 

@@ -212,8 +212,9 @@ class TestReConstant:
 
     def test_nonconvergence_is_flagged_not_raised(self):
         # an instance where the final polish's warm-started inner solves need
-        # more than 2 iterations
-        X = gaussian_design(10, 8, seed=17)
+        # more than 2 iterations: capped, the worst inner residual stays 9
+        # times above its 1e-9 tolerance
+        X = gaussian_design(10, 8, seed=152)
         S = SupportSet(8, (0, 1))
         cert = re_constant(X, ConeSpec(S), S, mode="gamma", max_inner_iter=2)
         assert not cert.solver_report.converged
@@ -288,11 +289,65 @@ class TestBatchedDescent:
             Z[:p, 2] = 0.0  # a vanishing denominator: this start is dropped
             # a step 8 times the safe one makes some columns reject steps
             args = (p, rows, 1.0, 8.0 * _step(G), 300, 10_000, 0.0)
-            _, rho, its = _descend(G, Z.copy(), *args)
-            alone = [_descend(G, Z[:, [c]].copy(), *args)[1] for c in (0, 1, 3, 4, 5)]
-            assert its == 300
-            assert rho.shape == (5,) and _descend(G, Z[:, [2]].copy(), *args)[1].size == 0
+            # with the residual stop off, every column runs to the cap
+            _, rho, its, _, stop = _descend(G, Z.copy(), *args, certify=False)
+            alone = [_descend(G, Z[:, [c]].copy(), *args, certify=False)[1]
+                     for c in (0, 1, 3, 4, 5)]
+            assert its == 300 and stop == "cap"
+            assert rho.shape == (5,)
+            assert _descend(G, Z[:, [2]].copy(), *args, certify=False)[1].size == 0
             assert_allclose(rho, np.concatenate(alone), rtol=1e-12, atol=0.0)
+
+
+def _criterion_2_instances():
+    """The 200 RE instances of acceptance criterion 2, in its order."""
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        n = int(rng.integers(5, 21))
+        d = int(rng.integers(4, 13))
+        p = int(rng.integers(1, 4))
+        X = normalize_columns(DesignMatrix(rng.standard_normal((n, d))))
+        yield X, SupportSet.of(d, rng.choice(d, size=p, replace=False))
+
+
+class TestDescentStop:
+    """Which rule ends the joint descent, and what ``converged`` then means."""
+
+    def test_each_rule_reports_itself(self):
+        # the instance of test_joint_residual_tells_cut_short_from_finished
+        E = gaussian_design(23, 8, seed=509).entries[:, [0, 4, 1, 2, 3, 5, 6, 7]]
+        G = E.T @ E / 23
+        step0 = _step(G)
+        tol = math.sqrt(np.finfo(float).eps / 2) / (2.0 * step0)
+        starts = certificates._starts(G, 2, np.arange(2), 1.0, None, 64)
+        args = (G, starts, 2, slice(None), 1.0, step0)
+        # the residual test passes on a check iteration, long before the cap
+        _, _, its, res, stop = _descend(*args, 8000, 80, 1e-13)
+        assert stop == "residual" and its % 20 == 0 and its < 8000 and res <= tol
+        # a stall detector that fires at its first window, before the residual passes
+        _, _, its, res, stop = _descend(*args, 8000, 20, 1.0)
+        assert stop == "stall" and its == 20 and res > tol
+        _, _, its, res, stop = _descend(*args, 7, 80, 1e-13)
+        assert stop == "cap" and its == 7 and res > tol
+        for max_iter, stop in ((1, "cap"), (8000, "residual")):
+            report = _re_joint(G, 2, np.arange(2), slice(None), 1.0, None, 64,
+                               max_iter=max_iter)[1]
+            assert report.stop == stop and report.converged is (stop == "residual")
+
+    def test_gamma_prime_finishes_on_criterion_2(self):
+        # gamma' near rounding level, where no relative fall settles, and a
+        # creeping non-best restart once held the batch to the cap
+        reports = [re_constant(X, ConeSpec(S), S, mode="gamma_prime").solver_report
+                   for X, S in _criterion_2_instances()]
+        assert sum(r.iterations >= 8000 for r in reports) == 0
+        assert all(r.converged and r.stop == "residual" for r in reports)
+
+    def test_creeping_restart_does_not_hold_the_batch(self):
+        X, S = list(_criterion_2_instances())[79]
+        assert (X.n_rows, X.n_cols, S.indices) == (6, 8, (0, 2, 6))
+        cert = re_constant(X, ConeSpec(S), S, mode="gamma_prime")
+        assert cert.solver_report.converged
+        assert f"{cert.value:.9e}" == "3.231862397e-04"
 
 
 class TestLambdaMin:

@@ -89,6 +89,9 @@ class TestCert:
         assert cert["kind"] == "re_gamma_prime"
         assert cert["value"] <= 4 / (4 + 8) + 1e-6
         assert cert["witness"]["type"] == "vector"
+        # the rule that ended the joint descent, and converged as that rule reads it
+        report = cert["solver_report"]
+        assert report["stop"] == "residual" and report["converged"] is True
 
     def test_lambda_min(self, stored_design, tmp_path):
         out = tmp_path / "lam.json"
@@ -104,6 +107,7 @@ class TestCert:
         rno = json.loads(out.read_text())
         assert 0.0 <= rno["value"] <= 1.0
         assert rno["witness"]["type"] == "support_pair"
+        assert rno["solver_report"]["stop"] is None  # an enumeration, not a descent
         out2 = tmp_path / "rip.json"
         run_cli(["cert", "--what", "rip", "--matrix", stored_design, "--s", 2,
                  "--out", out2])
@@ -148,6 +152,8 @@ class TestCert:
         ms = json.loads(res_ms.read_text())
         go = json.loads(res_go.read_text())
         assert go["method"] == "grid_oracle"
+        # mode gamma's tight descent ends on its residual certificate
+        assert ms["solver_report"]["stop"] == "residual"
         assert abs(ms["value"] - go["value"]) <= 1e-3 * max(go["value"], 1e-12)
 
     def test_rot_check(self, stored_design, tmp_path):
@@ -205,6 +211,8 @@ class TestSparsifyAndLasso:
         assert sol["converged"]
         # the length of the solver's last projected-gradient step, as the converged rule reads it
         assert 0.0 <= sol["fixed_point_residual"] <= 1e-6 * (1.0 + np.linalg.norm(sol["beta_hat"]))
+        # the duality gap bounds the objective's distance to the optimum, here 0
+        assert 0.0 <= sol["objective"] <= sol["duality_gap"] <= 1e-5
         assert sol["prediction_error"] <= 1e-8
         assert sol["parameter_errors"]["l1"] >= 0.0
 

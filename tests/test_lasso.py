@@ -274,6 +274,9 @@ class TestLassoConstrained:
             # reference here, and plain projected gradient under the same rule
             # within 6.4e-9, so 1e-10 tells the two apart
             assert sol.objective <= ref * (1 + 1e-10)
+            # the reported duality gap bounds the distance to the optimum, so
+            # to the reference too, up to the reference's rounding
+            assert sol.objective - ref <= sol.duality_gap + 1e-13 * ref
 
     def test_duplicated_columns_converge(self):
         # rank-deficient design: the projection still identifies a minimizer

@@ -10,9 +10,12 @@ into the CSV or summary, which must reproduce exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -367,13 +370,42 @@ def _run_task(args):
                          wall_time=time.perf_counter() - t0)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A pool of ``workers`` processes that each start with one BLAS thread,
+    unless the caller set a thread count.
+
+    BLAS reads its thread count once, when numpy loads it, and a forked
+    worker inherits the parent's loaded BLAS with all its threads.  So the
+    workers are spawned, from an environment with the unset counts at 1, and
+    the parent's environment is as it was once the pool has shut down.  A
+    script that runs experiments with several workers therefore needs the
+    ``if __name__ == "__main__":`` guard that spawned processes require.
+    """
+    unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for v in unset:
+            os.environ.pop(v, None)
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ExperimentRow]:
-    """Run every (grid point, trial) task and return rows in deterministic order."""
+    """Run every (grid point, trial) task and return rows in deterministic order.
+
+    With ``workers`` > 1 the tasks run in a pool of spawned processes with
+    one BLAS thread each (``_worker_pool``)."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(spec, gi, t) for gi, t in _tasks(spec)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             rows = list(pool.map(_run_task, tasks, chunksize=1))
     else:
         rows = [_run_task(t) for t in tasks]

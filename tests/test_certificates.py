@@ -37,6 +37,7 @@ from rotlasso import (
 from rotlasso import certificates, write_design
 from rotlasso.cli import main as cli_main
 from rotlasso.certificates import (
+    _INNER_TOL,
     _LIGHT_INNER_CAP,
     _LIGHT_INNER_TOL,
     ConeSpec,
@@ -134,6 +135,28 @@ class TestReConstant:
             go = re_constant(X, ConeSpec(S), S, mode="gamma", method="grid_oracle")
             assert ms.value >= go.value - 1e-3
             assert abs(ms.value - go.value) <= 1e-3 * max(go.value, 1e-12)
+
+    def test_gamma_iterations_count_the_tight_descent(self, monkeypatch):
+        counted = {"inner": 0, "descent": 0}
+        inner, descend = certificates._inner_min, certificates._descend
+
+        def inner_spy(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            counted["inner"] += out[1]
+            return out
+
+        def descend_spy(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            counted["descent"] += out[2]
+            return out
+
+        monkeypatch.setattr(certificates, "_inner_min", inner_spy)
+        monkeypatch.setattr(certificates, "_descend", descend_spy)
+        X = gaussian_design(23, 8, seed=509)
+        S = SupportSet(8, (0, 4))
+        report = re_constant(X, ConeSpec(S), S, mode="gamma").solver_report
+        assert counted["descent"] > 0
+        assert report.iterations == counted["inner"] + counted["descent"]
 
     def test_value_equals_objective_at_witness(self):
         X = gaussian_design(12, 7, seed=9)
@@ -273,6 +296,47 @@ class TestBatchedPolish:
             _, f, _, _, _ = _polish_decomposed(G, p, Z, *args)
             alone = [_polish_decomposed(G, p, Z[:, [i]], *args)[1][0] for i in range(8)]
             assert_allclose(f, alone, rtol=1e-10, atol=0.0)
+
+    def test_a_finished_polish_stops_at_once(self, monkeypatch):
+        # Each round is one batched inner solve.  A 40-round run makes at
+        # least 41 of them, each of at least 5 sweeps (the residual check
+        # period).  Polishing a finished polish again takes one fresh inner
+        # solve, and no accepted round may raise f above where it left f.
+        rng = np.random.default_rng(72)
+        for seed, (n, d, p) in enumerate(((20, 12, 2), (30, 20, 3), (25, 30, 4),
+                                          (200, 64, 3))):
+            X = gaussian_design(n, d, seed=500 + seed)
+            G = X.entries.T @ X.entries / n
+            U = rng.standard_normal((p, 8))
+            Z = np.concatenate([U / np.linalg.norm(U, axis=0), np.zeros((d - p, 8))])
+            args = (1.0, _step(G[p:, p:]), _INNER_TOL, 100_000)
+            Z, f, _, _, _ = _polish_decomposed(G, p, Z, *args)
+            f0 = _polish_decomposed(G, p, Z, *args, max_outer=0)[1]
+            assert_allclose(f0, f, rtol=1e-14, atol=0.0)
+            calls = []
+            inner = certificates._inner_min
+            monkeypatch.setattr(certificates, "_inner_min",
+                                lambda *a, **k: calls.append(1) or inner(*a, **k))
+            _, f2, sweeps, _, _ = _polish_decomposed(G, p, Z, *args)
+            monkeypatch.undo()
+            assert len(calls) <= 4 and sweeps < 41 * 5
+            assert np.all(f2 <= f0)
+
+    def test_a_column_above_the_certificate_keeps_polishing(self):
+        # f(u) = u^T A u on the unit circle, A = diag(1, 1.01), and the
+        # off-support column adds nothing.  At angle theta from the minimiser
+        # the tangent gradient is 0.01 sin(2 theta), here 3.0e-8, above the
+        # certificate sqrt(u) lambda_max(G) = 1.06e-8.  A step of 0.5 lowers
+        # f by about 0.5 * (3e-8)^2 = 4.5e-16, within 4 eps |f| = 8.9e-16, and
+        # the gradient by 1%, so a fall test alone would stop the column
+        # after one round.  It must polish on until the gradient passes.
+        G = np.diag([1.0, 1.01, 1.0])
+        theta = 1.5e-6
+        Z = np.array([[math.cos(theta)], [math.sin(theta)], [0.0]])
+        Z, f, _, _, _ = _polish_decomposed(G, 2, Z, 1.0, 1.0, _INNER_TOL, 100_000)
+        gradient = 0.01 * math.sin(2.0 * math.atan2(Z[1, 0], Z[0, 0]))
+        assert 0.0 < gradient <= math.sqrt(np.finfo(float).eps / 2) * 1.01
+        assert f[0] < 1.0 + 0.01 * math.sin(theta) ** 2
 
 
 class TestBatchedDescent:

@@ -2,12 +2,13 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rotlasso import SeedSpec, SupportSet, rno_constant
+from rotlasso import SeedSpec, SupportSet, harness, rno_constant
 from rotlasso.harness import (
     DEFAULT_CONFIGS,
     EXPERIMENT_NAMES,
@@ -224,6 +225,17 @@ class TestEmitAndDeterminism:
         emit_results(spec, rows2, tmp_path / "b")
         for fname in ("counterexample.csv", "counterexample.summary.json"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+    def test_workers_start_with_one_blas_thread(self, monkeypatch):
+        # a count the caller set is kept; the parent's environment is restored
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        with harness._worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, names))
+        assert seen == ["1", "1", "3"]
+        assert [os.environ.get(v) for v in names] == [None, None, "3"]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):

@@ -34,9 +34,9 @@ end (``_descend`` gives the derivation).  A relative-fall rule only detects
 stalls, and the report says which rule stopped the descent; a joint descent
 is ``converged`` only when the residual test passed.  The two polishes of
 mode gamma stop each column on the same certificate: once its tangent
-gradient is at most sqrt(u) lambda_max(G) and a round gained at most the
-rounding of f, 4 eps |f|, so that every later round would pass or fail its
-Armijo test on rounding alone (``_polish_decomposed`` gives the
+gradient is at most sqrt(u) lambda_max(G) and an accepted round lowered f
+by at most its rounding, 4 eps |f|, so that every later round would pass or
+fail its Armijo test on rounding alone (``_polish_decomposed`` gives the
 derivation).
 """
 from __future__ import annotations
@@ -245,6 +245,13 @@ def _step(G):
     return 1.0 / max(2.0 * float(np.linalg.eigvalsh(G)[-1]), 1e-300)
 
 
+def _certificate(step0):
+    """sqrt(u) lambda_max(G), u the unit roundoff, from ``step0`` =
+    1 / (2 lambda_max(G)): the residual or tangent gradient at which a
+    descent or a polish stops (``_descend`` derives it)."""
+    return math.sqrt(np.finfo(float).eps / 2) / (2.0 * step0)
+
+
 def _feasible(G, Z, p, den, L, sigma):
     """Project each column onto the convex cone {||v||_1 <= L sigma^T u}, with
     ``sigma`` the cone block's sign pattern where the step started, and
@@ -296,7 +303,7 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol, *, certify=True):
     the best column at exit and ``stop`` the rule that ended the descent:
     "residual", "stall" or "cap".
     """
-    tol = math.sqrt(np.finfo(float).eps / 2) / (2.0 * step0) if certify else -math.inf
+    tol = _certificate(step0) if certify else -math.inf
     Z, GZ, rho = _feasible(G, Z, p, den, L, np.sign(Z[:p]))
     keep = np.isfinite(rho)
     Z, GZ, rho = Z[:, keep], GZ[:, keep], rho[keep]
@@ -365,8 +372,7 @@ def _starts(G, p, sp, L, seed, n_starts):
                           axis=1)
 
 
-def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=40, *,
-                       step0=None):
+def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=40):
     """Refine a (d, m) block of candidate columns in lockstep: one exact inner
     solve each, then a short alternating stage with Armijo steps on the sphere
     of the cone block.
@@ -382,37 +388,32 @@ def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=4
 
     A column stops once its tangent gradient g is at most 1e-12 (1 + |f|),
     after ``max_outer`` accepted rounds, after 30 rejections in a row, or
-    once a round shows that no later one can lower f beyond rounding: ||g||
-    where the round started is at most sqrt(u) lambda_max(G), u the unit
-    roundoff and ``step0`` = 1 / (2 lambda_max(G)) (``_step(G)`` when None),
-    and the round's gain is at most 4 eps |f|, eps = 2u the spacing of
-    doubles at 1.  The gain of an accepted round is how far it lowered f.
-    A rejected round leaves its column in place and halves the step eta
-    until the next acceptance, so its gain is eta ||g||^2, to first order
-    the most that its step or any shorter one can lower f.  Neither
-    threshold is tuned.  The first is the tight descent's certificate
-    (``_descend``): near a stationary point the rest of a polish run to the
-    end can lower f only by about ||g||^2 / (2 mu), mu the local curvature,
-    and at this ||g|| that is the rounding of f = z^T G z times the local
-    condition number.  The second is a floor on the resolution of f: a
-    computed f is rounded when stored, by up to half a unit in its last
-    place, and before that carries the rounding of the sums that form it,
-    which is larger where f is small against lambda_max(G).  4 eps |f| is
-    four to eight units in the last place of f; two computed values that
-    close do not show which point is lower, so a round that gains no more
-    passes or fails its Armijo test on rounding, as would every later one,
-    each at the price of an inner solve.  Taking the floor, not the larger
-    error of the sums, errs towards more rounds.  The gradient test keeps a
-    column far from stationary, whose step has shrunk after rejections,
-    from stopping on a small gain; the gain test lets a column whose
-    gradient already passed take the rounds that still lower f.  Near f = 0
-    the relative gain test cannot fire, and the absolute gradient test and
-    the round cap remain.
+    after an accepted round that shows that no later one can lower f beyond
+    rounding: ||g|| where the round started is at most sqrt(u) lambda_max(G)
+    (``_certificate``), u the unit roundoff, and the round lowered f by at
+    most 4 eps |f|, eps = 2u the spacing of doubles at 1.  Neither threshold
+    is tuned.  The first is the tight descent's certificate (``_descend``):
+    near a stationary point the rest of a polish run to the end can lower f
+    only by about ||g||^2 / (2 mu), mu the local curvature, and at this
+    ||g|| that is the rounding of f = z^T G z times the local condition
+    number.  The second is a floor on the resolution of f: a computed f is
+    rounded when stored, by up to half a unit in its last place, and before
+    that carries the rounding of the sums that form it, which is larger
+    where f is small against lambda_max(G).  4 eps |f| is four to eight
+    units in the last place of f; two computed values that close do not
+    show which point is lower, so a round that falls no further passed its
+    Armijo test on rounding, as would every later one, each at the price of
+    an inner solve.  Taking the floor, not the larger error of the sums,
+    errs towards more rounds.  The gradient test keeps a column far from
+    stationary, whose step has shrunk after rejections, from stopping on a
+    small fall; the fall test lets a column whose gradient already passed
+    take the rounds that still lower f.  Near f = 0 the relative fall test
+    cannot fire, and the absolute gradient test and the round cap remain.
 
     Returns (Z, f, inner sweeps, worst inner residual, every inner solve
     converged); a batched sweep counts once.
     """
-    g_cert = math.sqrt(np.finfo(float).eps / 2) / (2.0 * (_step(G) if step0 is None else step0))
+    g_cert = _certificate(_step(G))
     f_res = 4.0 * np.finfo(float).eps
     G_BA, G_BB = G[p:, :p], G[p:, p:]
     total_inner = 0
@@ -458,16 +459,15 @@ def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=4
         Z_try, r_try = solve_inner(U_try, Z[p:, j])
         f_try = _quad(G, Z_try)
         acc = f_try <= f[j] - 1e-4 * eta[j] * gnorm[j] ** 2
-        gain = np.where(acc, f[j] - f_try, eta[j] * gnorm[j] ** 2)
-        settled = (gnorm[j] <= g_cert) & (gain <= f_res * np.abs(f[j]))
         a, b = j[acc], j[~acc]
+        settled = (gnorm[a] <= g_cert) & (f[a] - f_try[acc] <= f_res * np.abs(f[a]))
         Z[:, a], r[a], f[a] = Z_try[:, acc], r_try[acc], f_try[acc]
         eta[a] = np.minimum(eta[a] * 1.5, 4.0)
         outer[a] += 1
         eta[b] *= 0.5
         tries[b] += 1
-        live[b] = (eta[b] >= 1e-16) & (tries[b] < 30) & ~settled[~acc]
-        live[a] = (outer[a] < max_outer) & ~settled[acc]
+        live[b] = (eta[b] >= 1e-16) & (tries[b] < 30)
+        live[a] = (outer[a] < max_outer) & ~settled
         i = a[live[a]]
     return Z, f, total_inner, worst_res, inner_ok
 
@@ -497,18 +497,18 @@ def _gamma_from_directions(G, p, L, U, inner_cap):
     (``_polish_decomposed``).  The report's iterations add the sweeps of the
     three batched inner solves, each sweep counted once however many columns
     it carries, and the iterations of the tight descent."""
-    step0, step_inner = _step(G), _step(G[p:, p:])
+    step_inner = _step(G[p:, p:])
     V, total, _, _ = _inner_min(G[p:, p:], G[p:, :p] @ U, L * np.abs(U).sum(axis=0),
                                 step_inner, tol=1e-5, max_iter=5_000)
     Z = np.concatenate([U, V])
     f = _quad(G, Z)
     Zl, fl, its_light, _, _ = _polish_decomposed(
         G, p, Z[:, np.argsort(f, kind="stable")[:8]], L, step_inner, _LIGHT_INNER_TOL,
-        _LIGHT_INNER_CAP, max_outer=10, step0=step0)
+        _LIGHT_INNER_CAP, max_outer=10)
     Z, _, its_descent, _, stop = _descend(G, Zl[:, [int(np.argmin(fl))]], p, slice(None, p),
-                                          L, step0, max_iter=6000, window=100, rtol=1e-14)
+                                          L, _step(G), max_iter=6000, window=100, rtol=1e-14)
     Z, _, its, worst_res, ok = _polish_decomposed(G, p, Z, L, step_inner, _INNER_TOL,
-                                                  inner_cap, step0=step0)
+                                                  inner_cap)
     z = Z[:, 0]
     report = SolverReport(iterations=total + its_light + its_descent + its,
                           restarts=U.shape[1], residual=worst_res, converged=ok,

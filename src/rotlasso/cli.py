@@ -48,7 +48,7 @@ from .harness import (
     ExperimentSpec,
     emit_results,
     hard_experiments_pass,
-    run_experiment,
+    run_experiments,
 )
 from .lasso import (
     RegressionInstance,
@@ -286,8 +286,7 @@ def _exp_specs(args) -> list[ExperimentSpec]:
 
 def _cmd_exp(args) -> int:
     ok = True
-    for spec in args.specs:
-        rows = run_experiment(spec, workers=args.workers)
+    for spec, rows in run_experiments(args.specs, args.workers):
         paths = emit_results(spec, rows, args.out_dir)
         passed = hard_experiments_pass(spec, rows)
         ok = ok and passed

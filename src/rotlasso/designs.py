@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .core import (
     DegenerateColumnError,
@@ -23,9 +24,6 @@ HAAR_ORTHOGONAL = "haar_orthogonal"
 GAUSSIAN_IID = "gaussian_iid"
 RADEMACHER_IID = "rademacher_iid"
 _ROTATION_VARIANTS = (HAAR_ORTHOGONAL, GAUSSIAN_IID, RADEMACHER_IID)
-# Householder reflectors the Haar sampler applies as one block; of widths
-# 16 to 64, 32 was fastest at both n=100 and n=400
-_HAAR_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,7 @@ def sample_rotation(kind: RotationKind, n: int, seed: SeedSpec) -> np.ndarray:
     ||x_k||, the k-th diagonal entry of R, the reflectors along
     v_k = x_k - beta_k e_1 give that QR's Q = H_0 ... H_{n-1}.  Plain Q is not
     Haar distributed; folding sign(beta_k) into column k makes it so (Mezzadri
-    2007).  The result has exactly the law of the sign-fixed QR, at half its
-    flops.
+    2007).  The result has exactly the law of the sign-fixed QR.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -91,30 +88,30 @@ def sample_rotation(kind: RotationKind, n: int, seed: SeedSpec) -> np.ndarray:
 
 
 def _householder_haar(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Sign-fixed H_0 ... H_{n-1} of ``sample_rotation``, accumulated backward.
+    """Sign-fixed H_0 ... H_{n-1} of ``sample_rotation``, multiplied out by LAPACK.
 
-    Each panel of ``_HAAR_PANEL`` reflectors is applied at once in the
-    compact-WY form I - V T V^T, where T^{-1} = striu(V^T V) + diag(||v||^2 / 2).
+    ``dorgqr`` takes the reflectors as ``dgeqrf`` leaves them: v_k / v_k[0] in
+    column k, and tau_k = 2 v_k[0]^2 / ||v_k||^2 = 1 + |x_k[0]| / ||x_k||.
+    Fortran reads this C-ordered array transposed, so reflector k is row k and
+    Q comes back transposed.  numpy's own ``lapack_lite`` serves the call:
+    importing scipy for it costs more memory than the rotation workload uses.
     """
-    V = np.zeros((n, n))
-    # column k of the lower triangle takes the next n - k draws, from row k down
-    V.T[~np.tri(n, n, -1, dtype=bool)] = rng.standard_normal(n * (n + 1) // 2)
-    signs = np.where(V.diagonal() < 0.0, 1.0, -1.0)  # sign(beta_k)
-    V.flat[::n + 1] -= signs * np.sqrt(np.einsum("ij,ij->j", V, V))
-    Q = np.eye(n)
-    for j in range((n - 1) // _HAAR_PANEL * _HAAR_PANEL, -1, -_HAAR_PANEL):
-        Vp = V[j:, j:j + _HAAR_PANEL]
-        b = Vp.shape[1]
-        G = Vp.T @ Vp
-        Tinv = np.triu(G)
-        np.fill_diagonal(Tinv, 0.5 * G.diagonal())
-        # the later panels left Q[j:, j:] = diag(I_b, Q[j+b:, j+b:]), so V^T Q
-        # needs a product with the trailing block only
-        W = np.empty((b, n - j))
-        W[:, :b] = Vp[:b].T
-        W[:, b:] = Vp[b:].T @ Q[j + b:, j + b:]
-        Q[j:, j:] -= Vp @ (np.linalg.inv(Tinv) @ W)
-    return Q * signs
+    A = np.zeros((n, n))
+    # row k of the upper triangle takes the next n - k draws, from column k on
+    A[~np.tri(n, n, -1, dtype=bool)] = rng.standard_normal(n * (n + 1) // 2)
+    x0 = A.diagonal().copy()
+    signs = np.where(x0 < 0.0, 1.0, -1.0)  # sign(beta_k)
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    tau = 1.0 + np.abs(x0) / norms
+    A /= (x0 - signs * norms)[:, None]
+    work = np.zeros(1)
+    lapack_lite.dorgqr(n, n, n, A, n, tau, work, -1, 0)  # workspace query
+    work = np.zeros(int(work[0]))
+    info = lapack_lite.dorgqr(n, n, n, A, n, tau, work, work.size, 0)["info"]
+    if info != 0:
+        raise RuntimeError(f"LAPACK dorgqr failed with info={info}")
+    A *= signs[:, None]
+    return A.T
 
 
 def _rescale_to_sqrt_n(cols: np.ndarray, n: int) -> np.ndarray:

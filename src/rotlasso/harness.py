@@ -358,7 +358,7 @@ _TRIAL_FUNCS = {
 def _tasks(spec: ExperimentSpec):
     # rot-check aggregates its Monte Carlo trials inside one row per grid point
     per_point = 1 if spec.name == "rot-check" else spec.trials
-    return [(gi, t) for gi in range(len(spec.grid)) for t in range(per_point)]
+    return [(spec, gi, t) for gi in range(len(spec.grid)) for t in range(per_point)]
 
 
 def _run_task(args):
@@ -396,20 +396,22 @@ def _worker_pool(workers: int):
             os.environ.pop(v, None)
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ExperimentRow]:
-    """Run every (grid point, trial) task and return rows in deterministic order.
+def run_experiments(specs, workers: int = 1):
+    """Yield ``(spec, rows)`` for each spec in turn, rows in task order.
 
-    With ``workers`` > 1 the tasks run in a pool of spawned processes with
-    one BLAS thread each (``_worker_pool``)."""
+    With ``workers`` > 1 the tasks of every spec share one pool of spawned
+    processes with one BLAS thread each (``_worker_pool``)."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    tasks = [(spec, gi, t) for gi, t in _tasks(spec)]
-    if workers > 1:
-        with _worker_pool(workers) as pool:
-            rows = list(pool.map(_run_task, tasks, chunksize=1))
-    else:
-        rows = [_run_task(t) for t in tasks]
-    rows.sort(key=lambda r: (r.grid_index, r.trial))
+    with _worker_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for spec in specs:
+            yield spec, list(run(_run_task, _tasks(spec)))
+
+
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ExperimentRow]:
+    """Run one experiment's (grid point, trial) tasks; see ``run_experiments``."""
+    [(_, rows)] = run_experiments([spec], workers)
     return rows
 
 

@@ -16,6 +16,7 @@ from rotlasso import (
     partially_rotate,
     rotated_adversary_design,
     sample_rotation,
+    seeded_stream,
     semirandom_gaussian_design,
 )
 
@@ -28,7 +29,8 @@ def column_norms(X):
 
 class TestSampleRotation:
     def test_haar_is_orthogonal(self):
-        # one panel of reflectors, several, and a ragged last panel
+        # sizes straddle LAPACK's block of 32 reflectors; the reference
+        # dorgqr applies blocks only past 128 columns, as at n=400
         for n in (1, 2, 31, 32, 33, 65, 100, 400):
             for sid in range(3):
                 R = sample_rotation(RotationKind.haar(), n, SeedSpec(3, sid))
@@ -38,7 +40,7 @@ class TestSampleRotation:
     @pytest.mark.parametrize("n,trials", [(3, 20_000), (40, 4_000)])
     def test_haar_whole_matrix_law(self, n, trials):
         # exact for Haar on O(n): P(det Q > 0) = 1/2, E tr Q = 0, E (tr Q)^2 = 1;
-        # n=40 runs a full panel of reflectors and a ragged one
+        # n=3 and n=40 straddle LAPACK's block of 32 reflectors
         tr = np.empty(trials)
         det_pos = 0
         for t in range(trials):
@@ -49,6 +51,35 @@ class TestSampleRotation:
         assert abs(tr.mean()) <= 5.0 / math.sqrt(trials)
         # Var (tr Q)^2 is about 2 (E (tr Q)^4 = 3 once n >= 4)
         assert abs((tr ** 2).mean() - 1.0) <= 5.0 * math.sqrt(2.0 / trials)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 33, 65])
+    def test_haar_matches_dense_reflector_product(self, n):
+        # the Stewart draw rebuilt without LAPACK: the same normals, one dense
+        # reflector I - 2 v v^T / ||v||^2 at a time, then the sign fix
+        seed = SeedSpec(13, n)
+        draws = seeded_stream(seed).standard_normal(n * (n + 1) // 2)
+        Q = np.eye(n)
+        signs = np.empty(n)
+        start = 0
+        for k in range(n):
+            x = draws[start:start + n - k]
+            start += n - k
+            signs[k] = -1.0 if x[0] >= 0 else 1.0  # sign(beta_k)
+            v = np.zeros(n)
+            v[k:] = x
+            v[k] -= signs[k] * np.linalg.norm(x)
+            Q = Q @ (np.eye(n) - 2.0 * np.outer(v, v) / (v @ v))
+        R = sample_rotation(RotationKind.haar(), n, seed)
+        assert np.max(np.abs(R - Q * signs)) <= 1e-13
+
+    def test_haar_raises_when_lapack_fails(self, monkeypatch):
+        from numpy.linalg import lapack_lite
+
+        dorgqr = lapack_lite.dorgqr
+        monkeypatch.setattr(lapack_lite, "dorgqr",
+                            lambda *args: {**dorgqr(*args), "info": -5})
+        with pytest.raises(RuntimeError, match="dorgqr"):
+            sample_rotation(RotationKind.haar(), 5, SeedSpec(1))
 
     def test_haar_determinism(self):
         for n in (5, 40):

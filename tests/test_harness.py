@@ -226,6 +226,24 @@ class TestEmitAndDeterminism:
         for fname in ("counterexample.csv", "counterexample.summary.json"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
+    def test_experiments_of_one_command_share_a_pool(self, monkeypatch):
+        specs = [mini_spec("sparsify-bound", [{"n": 20, "d": 30, "s": 10}], 3),
+                 mini_spec("counterexample", [{"k": 4, "n": 50, "d": 8}], 2)]
+        opened = []
+        worker_pool = harness._worker_pool
+
+        def counted(workers):
+            opened.append(workers)
+            return worker_pool(workers)
+
+        monkeypatch.setattr(harness, "_worker_pool", counted)
+        shared = list(harness.run_experiments(specs, workers=2))
+        assert opened == [2]
+        assert [spec for spec, _ in shared] == specs
+        for spec, rows in shared:
+            assert [(r.grid_index, r.trial, r.values) for r in rows] == [
+                (r.grid_index, r.trial, r.values) for r in run_experiment(spec)]
+
     def test_workers_start_with_one_blas_thread(self, monkeypatch):
         # a count the caller set is kept; the parent's environment is restored
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

@@ -30,8 +30,9 @@ certificate: once the best column's fixed-point residual is at most
 sqrt(u) lambda_max(G), u the unit roundoff.  The objective is second order
 in that residual at a stationary point, so the tolerance leaves the value
 within rounding, times the local condition number, of a descent run to the
-end (``_descend`` gives the derivation).  A relative-fall rule only detects
-stalls, and the report says which rule stopped the descent; a joint descent
+end (``_descend`` gives the derivation).  Otherwise a descent stops at
+``_DESCENT_CAP`` iterations, and every inner solve at ``_INNER_CAP``; the
+report says which of the two rules stopped the descent, and a joint descent
 is ``converged`` only when the residual test passed.  The two polishes of
 mode gamma stop each column on the same certificate: once its tangent
 gradient is at most sqrt(u) lambda_max(G) and an accepted round lowered f
@@ -63,11 +64,18 @@ from .core import (
 )
 
 DEFAULT_ENUM_CAP = 1_000_000
+# supports per batched SVD of ``_masked_bases``, and support pairs per chunk
+# of ``_pair_values_max``
+_BASIS_CHUNK = 2048
+_CHUNK_PAIRS = 200_000
 # inner-solve tolerance of the final gamma polish; the light polishes that
-# rank the candidates use the looser pair
+# rank the candidates use the looser one
 _INNER_TOL = 1e-9
 _LIGHT_INNER_TOL = 1e-7
-_LIGHT_INNER_CAP = 20_000
+# iteration caps of every inner solve and of every descent; a solve that
+# reaches its cap reports that it did not converge
+_INNER_CAP = 100_000
+_DESCENT_CAP = 6_000
 # fixed so that certificates are reproducible when the caller passes no seed
 DEFAULT_SOLVER_SEED = SeedSpec(0x5EED, 0)
 
@@ -98,7 +106,7 @@ class SolverReport:
     converged: bool = True
     spread: float | None = None
     complete: bool | None = None
-    # the rule that ended an iterative descent: "residual", "stall" or "cap"
+    # the rule that ended an iterative descent: "residual" or "cap"
     stop: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -171,13 +179,13 @@ def re_objective_value(X: DesignMatrix, z, S_prime: SupportSet, mode: str = "gam
 # ---------------------------------------------------------------------------
 
 
-def _inner_min(G, B, radii, step, v0=None, tol=1e-9, max_iter=100_000, check_every=25):
+def _inner_min(G, B, radii, step, v0=None, tol=1e-9, check_every=25):
     """FISTA with gradient restarts for min_v 2 b^T v + v^T G v, ||v||_1 <= r.
 
     B holds one column b per problem; radii one radius per problem.  Converged
     columns are frozen and dropped from the working set, so the cost tracks
-    the hard problems only.  Returns (V, iterations, worst fixed-point
-    residual, all_converged).
+    the hard problems only; the solve stops after ``_INNER_CAP`` iterations.
+    Returns (V, iterations, worst fixed-point residual, all_converged).
     """
     q, m = B.shape
     if q == 0 or m == 0:
@@ -190,7 +198,7 @@ def _inner_min(G, B, radii, step, v0=None, tol=1e-9, max_iter=100_000, check_eve
     t = np.ones(active.size)
     it = 0
     worst = 0.0
-    while it < max_iter and active.size:
+    while it < _INNER_CAP and active.size:
         grad = 2.0 * (Ba + G @ W)
         V_new = project_l1_columns(W - step * grad, ra)
         dv = V_new - V
@@ -204,7 +212,7 @@ def _inner_min(G, B, radii, step, v0=None, tol=1e-9, max_iter=100_000, check_eve
         V = V_new
         t = t_new
         it += 1
-        if it % check_every == 0 or it >= max_iter:
+        if it % check_every == 0 or it >= _INNER_CAP:
             g = 2.0 * (Ba + G @ V)
             res = (_col_norms(project_l1_columns(V - step * g, ra) - V)
                    / (1.0 + _col_norms(V)))
@@ -267,7 +275,7 @@ def _feasible(G, Z, p, den, L, sigma):
     return Z, GZ, rho if every else np.where(alive, rho, np.inf)
 
 
-def _descend(G, Z, p, den, L, step0, max_iter, window, rtol, *, certify=True):
+def _descend(G, Z, p, den, L, step0, max_iter=_DESCENT_CAP):
     """Monotone projected gradient on z^T G z / ||z_den||^2, batched over columns.
 
     Each step follows the Rayleigh gradient 2 (G z - rho z_den) and maps back
@@ -294,21 +302,17 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol, *, certify=True):
     (about u lambda_max(G) for unit z) times the local condition number.
     So the remaining iterations of a descent run to the end could move the
     best value only within rounding, up to that factor.
-    A stall detector stops the descent once no column's objective fell by a
-    relative ``rtol`` over the last ``window`` iterations.
-    ``certify=False`` turns the residual test off, so that every column runs
-    the same path as alone.
+    Otherwise the descent stops after ``max_iter`` iterations.
 
     Returns (Z, rho, iterations, residual, stop), with ``residual`` that of
     the best column at exit and ``stop`` the rule that ended the descent:
-    "residual", "stall" or "cap".
+    "residual" or "cap".
     """
-    tol = _certificate(step0) if certify else -math.inf
+    tol = _certificate(step0)
     Z, GZ, rho = _feasible(G, Z, p, den, L, np.sign(Z[:p]))
     keep = np.isfinite(rho)
     Z, GZ, rho = Z[:, keep], GZ[:, keep], rho[keep]
     eta = np.full(rho.size, step0)
-    rho_window = rho.copy()
 
     def best_residual():
         if not rho.size:
@@ -338,11 +342,6 @@ def _descend(G, Z, p, den, L, step0, max_iter, window, rtol, *, certify=True):
         it += 1
         if it % 20 == 0 and best_residual() <= tol:
             stop = "residual"
-        elif it % window == 0:
-            rel = (rho_window - rho) / np.maximum(np.abs(rho_window), 1e-300)
-            if np.max(rel) < rtol:
-                stop = "stall"
-            rho_window = rho.copy()
     return Z, rho, it, best_residual(), stop
 
 
@@ -372,7 +371,7 @@ def _starts(G, p, sp, L, seed, n_starts):
                           axis=1)
 
 
-def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=40):
+def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, max_outer=40):
     """Refine a (d, m) block of candidate columns in lockstep: one exact inner
     solve each, then a short alternating stage with Armijo steps on the sphere
     of the cone block.
@@ -424,7 +423,7 @@ def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, inner_cap, max_outer=4
         nonlocal total_inner, worst_res, inner_ok
         r = L * np.abs(U).sum(axis=0)
         V, its, res, conv = _inner_min(G_BB, G_BA @ U, r, step_inner, v0=warm,
-                                       tol=inner_tol, max_iter=inner_cap, check_every=5)
+                                       tol=inner_tol, check_every=5)
         total_inner += its
         worst_res = max(worst_res, res)
         inner_ok = inner_ok and conv
@@ -488,7 +487,7 @@ def _grid_directions(p):
     ])
 
 
-def _gamma_from_directions(G, p, L, U, inner_cap):
+def _gamma_from_directions(G, p, L, U):
     """Mode gamma with cone support == S', from unit cone directions U (one
     per column): a coarse inner sweep over every direction, ranked by the
     quadratic form; one batched light polish of the 8 leaders; and a tight
@@ -499,16 +498,15 @@ def _gamma_from_directions(G, p, L, U, inner_cap):
     it carries, and the iterations of the tight descent."""
     step_inner = _step(G[p:, p:])
     V, total, _, _ = _inner_min(G[p:, p:], G[p:, :p] @ U, L * np.abs(U).sum(axis=0),
-                                step_inner, tol=1e-5, max_iter=5_000)
+                                step_inner, tol=1e-5)
     Z = np.concatenate([U, V])
     f = _quad(G, Z)
     Zl, fl, its_light, _, _ = _polish_decomposed(
         G, p, Z[:, np.argsort(f, kind="stable")[:8]], L, step_inner, _LIGHT_INNER_TOL,
-        _LIGHT_INNER_CAP, max_outer=10)
+        max_outer=10)
     Z, _, its_descent, _, stop = _descend(G, Zl[:, [int(np.argmin(fl))]], p, slice(None, p),
-                                          L, _step(G), max_iter=6000, window=100, rtol=1e-14)
-    Z, _, its, worst_res, ok = _polish_decomposed(G, p, Z, L, step_inner, _INNER_TOL,
-                                                  inner_cap)
+                                          L, _step(G))
+    Z, _, its, worst_res, ok = _polish_decomposed(G, p, Z, L, step_inner, _INNER_TOL)
     z = Z[:, 0]
     report = SolverReport(iterations=total + its_light + its_descent + its,
                           restarts=U.shape[1], residual=worst_res, converged=ok,
@@ -516,13 +514,12 @@ def _gamma_from_directions(G, p, L, U, inner_cap):
     return z, report
 
 
-def _re_joint(G, p, sp, den, L, seed, n_starts, max_iter=8000):
+def _re_joint(G, p, sp, den, L, seed, n_starts, max_iter=_DESCENT_CAP):
     """Joint descent over the whole cone; used for mode gamma_prime (``den``
     every row) and for mode gamma with a cone support strictly larger than
     S' (``den`` = ``sp``, the rows of S')."""
     Z, rho, it, residual, stop = _descend(G, _starts(G, p, sp, L, seed, n_starts), p, den,
-                                          L, _step(G), max_iter=max_iter, window=80,
-                                          rtol=1e-13)
+                                          L, _step(G), max_iter)
     report = SolverReport(iterations=it, restarts=Z.shape[1], residual=residual,
                           converged=stop == "residual",
                           spread=float(np.max(rho) - np.min(rho)), stop=stop)
@@ -531,8 +528,7 @@ def _re_joint(G, p, sp, den, L, seed, n_starts, max_iter=8000):
 
 def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
                 mode: str = "gamma", method: str = "multistart", *,
-                seed: SeedSpec | None = None, n_starts: int = 64,
-                max_inner_iter: int = 100_000) -> Certificate:
+                seed: SeedSpec | None = None, n_starts: int = 64) -> Certificate:
     """Certified upper bound on a restricted-eigenvalue constant.
 
     The minimum runs over the cone of ``cone`` (usually the cone of
@@ -552,11 +548,10 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     limits it to this mode and at most 3 certified coordinates.  Every other
     case, mode ``gamma_prime`` included, descends over whole cone vectors
     from the same restarts, on the exact projection onto the convex piece of
-    the cone around each iterate.  ``max_inner_iter`` caps each inner solve
-    of the final polish of mode ``gamma``.
+    the cone around each iterate.
 
     The report's ``stop`` names the rule that ended the descent
-    (``residual``, ``stall`` or ``cap``).  ``converged`` means, for the joint
+    (``residual`` or ``cap``).  ``converged`` means, for the joint
     descent, that its residual test passed, and in the mode ``gamma``
     pipeline that every inner solve of the final polish converged.
     ``iterations`` counts the descent's iterations, and in the mode
@@ -596,7 +591,7 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
         else:
             U = np.unique(_starts(G, p, np.arange(p), cone.L, seed, n_starts)[:p], axis=1)
             U /= np.linalg.norm(U, axis=0)
-        z, report = _gamma_from_directions(G, p, cone.L, U, max_inner_iter)
+        z, report = _gamma_from_directions(G, p, cone.L, U)
     else:
         sp = np.searchsorted(cone.S.array(), S_prime.array())
         z, report = _re_joint(G, p, sp, sp if mode == "gamma" else slice(None), cone.L,
@@ -672,7 +667,7 @@ def _row_space(E):
     return np.linalg.qr(E, mode="r") if n > d else E
 
 
-def _masked_bases(R, supports, chunk=2048):
+def _masked_bases(R, supports):
     """Orthonormal span bases of R's columns on a stack of same-size supports.
 
     ``R`` is the row space of the design (``_row_space``), m x d.  The
@@ -685,8 +680,8 @@ def _masked_bases(R, supports, chunk=2048):
     N, s = supports.shape
     m = R.shape[0]
     out = np.empty((min(m, s), N, m))
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
+    for lo in range(0, N, _BASIS_CHUNK):
+        hi = min(lo + _BASIS_CHUNK, N)
         stack = np.moveaxis(R[:, supports[lo:hi]], 0, 1)
         U, sv, _ = np.linalg.svd(stack, full_matrices=False)
         lead = np.maximum(sv[:, :1], 1e-300)
@@ -740,7 +735,7 @@ def _prune_floor2(floor, m, s):
     return max(floor * (1.0 - 1e-12 - 4.0 * (s * s + 1) * u) - 8.0 * s * m * u, 0.0) ** 2
 
 
-def _pair_values_max(Pa, Pb=None, indicators=None, chunk_pairs=200_000):
+def _pair_values_max(Pa, Pb=None, indicators=None):
     """Max (and first argmax) of sigma_max(Ua_i^T Ub_j) over pairs (i, j).
 
     The bases come in the plane layout of ``_masked_bases``.  With ``Pb``
@@ -750,7 +745,7 @@ def _pair_values_max(Pa, Pb=None, indicators=None, chunk_pairs=200_000):
 
     Since sigma_max(C) <= ||C||_F, a pair's s x s block C = Ua_i^T Ub_j is
     formed, and gets an SVD, only if its norm reaches a floor.  A chunk of
-    about ``chunk_pairs`` pairs, some rows i against every j, gets its
+    about ``_CHUNK_PAIRS`` pairs, some rows i against every j, gets its
     squared norms from s^2 plane products (``_fro2``).  The floor is the
     best value so far, or the best among the chunk's 64 admissible pairs of
     largest norm; ``_prune_floor2`` keeps rounding from dropping a tied or
@@ -760,10 +755,10 @@ def _pair_values_max(Pa, Pb=None, indicators=None, chunk_pairs=200_000):
     s, Na, m = Pa.shape
     Qb = Pa if Pb is None else Pb
     Nb = Qb.shape[1]
-    batch = max(1, chunk_pairs // (s * m))
+    batch = max(1, _CHUNK_PAIRS // (s * m))
     best = -1.0
     best_pair = (0, 0)
-    rows = max(1, chunk_pairs // max(Nb, 1))
+    rows = max(1, _CHUNK_PAIRS // max(Nb, 1))
     for lo in range(0, Na, rows):
         hi = min(lo + rows, Na)
         c0 = lo if Pb is None else 0

@@ -30,31 +30,28 @@ _ROTATION_VARIANTS = (HAAR_ORTHOGONAL, GAUSSIAN_IID, RADEMACHER_IID)
 class RotationKind:
     """Which random n x n matrix decorrelates the off-support block.
 
-    ``sigma`` is the entry scale of the i.i.d. variants (Gaussian standard
-    deviation, or the magnitude of the +-sigma Rademacher entries); it is
-    ignored for Haar orthogonal rotations.
+    The i.i.d. variants draw unit-scale entries (standard Gaussian, or +-1
+    Rademacher); the designs rescale every rotated column to norm sqrt(n),
+    so the scale of the entries does not matter.
     """
 
     variant: str = HAAR_ORTHOGONAL
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.variant not in _ROTATION_VARIANTS:
             raise ValueError(f"unknown rotation variant {self.variant!r}")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
 
     @classmethod
     def haar(cls):
         return cls(HAAR_ORTHOGONAL)
 
     @classmethod
-    def gaussian(cls, sigma: float = 1.0):
-        return cls(GAUSSIAN_IID, sigma)
+    def gaussian(cls):
+        return cls(GAUSSIAN_IID)
 
     @classmethod
-    def rademacher(cls, sigma: float = 1.0):
-        return cls(RADEMACHER_IID, sigma)
+    def rademacher(cls):
+        return cls(RADEMACHER_IID)
 
 
 # rotation kinds by the names the CLI and the experiment grids use
@@ -82,9 +79,9 @@ def sample_rotation(kind: RotationKind, n: int, seed: SeedSpec) -> np.ndarray:
     if kind.variant == HAAR_ORTHOGONAL:
         return _householder_haar(rng, n)
     if kind.variant == GAUSSIAN_IID:
-        return kind.sigma * rng.standard_normal((n, n))
+        return rng.standard_normal((n, n))
     # rademacher
-    return kind.sigma * (2.0 * rng.integers(0, 2, size=(n, n)).astype(np.float64) - 1.0)
+    return 2.0 * rng.integers(0, 2, size=(n, n)).astype(np.float64) - 1.0
 
 
 def _householder_haar(rng: np.random.Generator, n: int) -> np.ndarray:

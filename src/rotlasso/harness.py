@@ -109,6 +109,16 @@ GRID_KNOBS = {
     "rno-whp": ("rho", "groups", "design"),
     "rot-check": ("mc_trials",),
 }
+# grid keys a trial cannot run without
+REQUIRED_KEYS = {
+    "thm-main": ("n", "d", "k"),
+    "lasso-rate": ("n", "d", "k"),
+    "rno-whp": ("n", "d", "k", "s"),
+    "rip-rno": ("n", "d", "s"),
+    "counterexample": ("n", "d", "k"),
+    "sparsify-bound": ("n", "d", "s"),
+    "rot-check": ("n", "d", "k", "epsilon"),
+}
 
 
 def columns_for(name: str) -> tuple[str, ...]:
@@ -139,11 +149,25 @@ class ExperimentSpec:
             if unknown:
                 raise ValueError(f"unknown grid key(s) {unknown} for {self.name}; "
                                  f"allowed keys: {allowed}")
-            n, d, k = g.get("n", 1), g.get("d", 1), g.get("k", 1)
+            missing = [key for key in REQUIRED_KEYS[self.name] if key not in g]
+            if missing:
+                raise ValueError(f"grid point {g} lacks required key(s) {missing}")
+            n, d, k = g["n"], g["d"], g.get("k", 1)
             if min(n, d, k) < 1 or k > d:
                 raise ValueError(f"inconsistent grid point {g}")
             if not g.get("sigma", 0.0) >= 0:
                 raise ValueError("sigma must be non-negative, not NaN")
+            # the ranges BlockSpec.split, rno_constant, the counterexample
+            # design and the RIP/RNO enumeration accept
+            if ("groups" in GRID_KNOBS.get(self.name, ())
+                    and not 1 <= g.get("groups", 1) <= d - k):
+                raise ValueError(f"groups must lie in [1, d - k] in grid point {g}")
+            if self.name == "rno-whp" and not 1 <= g["s"] <= min(k, d - k):
+                raise ValueError(f"s must lie in [1, min(k, d - k)] in grid point {g}")
+            if self.name == "rip-rno" and not 1 <= g["s"] <= d // 2:
+                raise ValueError(f"s must lie in [1, d / 2] in grid point {g}")
+            if self.name == "counterexample" and min(n, d) < k + 2:
+                raise ValueError(f"n and d must be at least k + 2 in grid point {g}")
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "grid": list(self.grid), "trials": self.trials,
@@ -285,9 +309,7 @@ def counterexample_witness(d: int, k: int) -> SparseVector:
 
 def _trial_counterexample(spec, gi, trial):
     g = spec.grid[gi]
-    k = g["k"]
-    n = g.get("n", 100)
-    d = g.get("d", k + 2)
+    n, d, k = g["n"], g["d"], g["k"]
     seed = _trial_seed(spec, gi, trial)
     X, S = counterexample_design(n, d, k, seed.substream(0))
     XS = restrict_columns(X, S)

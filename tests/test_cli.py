@@ -297,6 +297,23 @@ class TestExp:
         assert problem in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, point", [
+        ("thm-main", {"n": 50, "d": 8, "k": 3, "groups": 6}),
+        ("lasso-rate", {"n": 50, "d": 8, "k": 2, "groups": 0}),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "groups": 6}),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 4}),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "rotation": "haar"}),
+        ("counterexample", {"k": 1}),
+        ("counterexample", {"k": 1, "d": 3}),
+    ])
+    def test_unrunnable_grid_point_rejected(self, name, point, tmp_path, capsys):
+        cfg = json.dumps({"grid": [point], "trials": 1})
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["exp", name, "--config", cfg, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert "bad experiment config" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_config_with_all_rejected(self, tmp_path, capsys):
         cfg = json.dumps({"grid": [{"n": 20, "d": 30, "s": 10}], "trials": 1})
         with pytest.raises(SystemExit) as exc:

@@ -59,6 +59,29 @@ class TestExperimentSpec:
             ExperimentSpec(name="lasso-rate", grid=({"n": 60, "d": 24, "k": 2, "sigma": sigma},),
                            trials=1, master_seed=0)
 
+    @pytest.mark.parametrize("name, point, problem", [
+        ("thm-main", {"n": 50, "d": 8, "k": 3, "groups": 0}, "groups"),
+        ("thm-main", {"n": 50, "d": 8, "k": 3, "groups": 6}, "groups"),
+        ("thm-main", {"n": 50, "d": 8, "k": 8}, "groups"),
+        ("lasso-rate", {"n": 50, "d": 8, "k": 2, "groups": 7}, "groups"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "groups": 6}, "groups"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 0}, "s must lie"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 4}, "s must lie"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 6, "s": 3}, "s must lie"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3}, "['s']"),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "rotation": "haar"}, "['epsilon']"),
+        ("counterexample", {"k": 1}, "['n', 'd']"),
+        ("counterexample", {"k": 4, "n": 100}, "['d']"),
+        ("counterexample", {"k": 4, "d": 12}, "['n']"),
+        ("counterexample", {"k": 4, "n": 100, "d": 5}, "k + 2"),
+        ("rip-rno", {"n": 50, "d": 8, "s": 5}, "s must lie"),
+    ])
+    def test_unrunnable_grid_point_rejected(self, name, point, problem):
+        # rejected when the spec is built, not when a trial runs
+        with pytest.raises(ValueError) as exc:
+            ExperimentSpec(name=name, grid=(point,), trials=1, master_seed=0)
+        assert problem in str(exc.value)
+
     def test_benchmark_grids_validate(self):
         path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
         loader = importlib.util.spec_from_file_location("bench_run", path)

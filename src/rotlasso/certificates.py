@@ -10,15 +10,22 @@ the SVD of every support except those that a Cholesky test on their block
 of the Gram matrix places a derived rounding margin below the best, so its
 value and witness are those of an SVD of every support.
 
-Computing a restricted eigenvalue exactly is intractable in general.  When
-the certified set covers every column, both variants are the smallest
-eigenvalue of the Gram matrix and are returned exactly.  Mode gamma with the
-cone on S' itself goes through one pipeline over a set of unit directions of
-the cone block: an exact inner solve over the off-support l1 ball for every
-direction, one light polish of the 8 best, run on them as one block in
-lockstep, and a tight joint descent and a full polish of the best of them.
-The multistart feeds it the restarts' directions; on small instances with at
-most 3 certified coordinates the independent oracle feeds it a 2 degree
+Computing a restricted eigenvalue exactly is intractable in general.  But
+the cone is a subset of R^d, so its minimum is at least the minimum of the
+same quotient over R^d, which has a closed form: the smallest eigenvalue of
+the Gram matrix (gamma'), or of the S' columns with the span of the rest
+projected out (gamma).  When that free minimiser lies in the cone it attains
+the cone's minimum, and the multistart returns it with no search; this is
+the regime in which the rest of the design is decorrelated from S'.  When
+the certified set covers every column, both variants are this smallest
+eigenvalue of the Gram matrix, for either method.  Otherwise a search runs.
+Mode gamma with the cone on S' itself goes through one pipeline over a set
+of unit directions of the cone block: an exact inner solve over the
+off-support l1 ball for every direction, one light polish of the 8 best, run
+on them as one block in lockstep, and a tight joint descent and a full
+polish of the best of them.  The multistart feeds it the restarts'
+directions; on small instances with at most 3 certified coordinates the
+independent oracle, which never takes the closed form, feeds it a 2 degree
 angular grid instead.  Every other case (mode gamma', or a cone larger than
 S') is one batched monotone projected-gradient descent over the cone from 64
 and more restarts.  Each of its steps maps back by the exact Euclidean
@@ -526,6 +533,62 @@ def _re_joint(G, p, sp, den, L, seed, n_starts, max_iter=_DESCENT_CAP):
     return Z[:, int(np.argmin(rho))], report
 
 
+def _lowest_eigenpair(A, n):
+    """The smallest eigenvalue of (1/n) A^T A and a unit eigenvector for it."""
+    vals, vecs = np.linalg.eigh((A.T @ A) / n)
+    return float(vals[0]), vecs[:, 0]
+
+
+def _free_minimiser(X: DesignMatrix, S_prime: SupportSet, mode: str):
+    """A minimiser of the RE quotient over all of R^d, in closed form, dense.
+
+    In mode gamma_prime it is an eigenvector of lambda_min(X^T X / n).  In
+    mode gamma, with R the columns outside S', the inner minimum over
+    z_R = v of ||X_{S'} u + X_R v||^2 is ||(I - P_R) X_{S'} u||^2, P_R the
+    projector onto span(X_R), attained with least norm at
+    v = -X_R^+ X_{S'} u.  So u is an eigenvector of lambda_min(M^T M / n)
+    with M = (I - P_R) X_{S'}, and one thin SVD of X_R gives P_R and X_R^+,
+    without the singular values below numpy's rank tolerance.  No d x d
+    matrix is formed in this mode.
+    """
+    rest = S_prime.complement().array()
+    if mode == "gamma_prime" or rest.size == 0:
+        return _lowest_eigenpair(X.entries, X.n_rows)[1]
+    sp = S_prime.array()
+    XS, XR = X.entries[:, sp], X.entries[:, rest]
+    U, s, Vt = np.linalg.svd(XR, full_matrices=False)
+    r = int(np.count_nonzero(s > s[0] * max(XR.shape) * np.finfo(float).eps))
+    C = U[:, :r].T @ XS
+    u = _lowest_eigenpair(XS - U[:, :r] @ C, X.n_rows)[1]
+    z = np.zeros(X.n_cols)
+    z[sp] = u
+    z[rest] = -Vt[:r].T @ ((C @ u) / s[:r])
+    return z
+
+
+def _re_search(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet, mode: str,
+               method: str, seed: SeedSpec | None, n_starts: int):
+    """The iterative solvers of ``re_constant``; returns (dense witness, report)."""
+    order = np.concatenate([cone.S.array(), cone.S.complement().array()])
+    E = X.entries[:, order]
+    G = (E.T @ E) / X.n_rows
+    p = cone.S.size
+    if cone.S.indices == S_prime.indices and mode == "gamma":
+        if method == "grid_oracle":
+            U = _grid_directions(p)
+        else:
+            U = np.unique(_starts(G, p, np.arange(p), cone.L, seed, n_starts)[:p], axis=1)
+            U /= np.linalg.norm(U, axis=0)
+        z, report = _gamma_from_directions(G, p, cone.L, U)
+    else:
+        sp = np.searchsorted(cone.S.array(), S_prime.array())
+        z, report = _re_joint(G, p, sp, sp if mode == "gamma" else slice(None), cone.L,
+                              seed, n_starts)
+    dense = np.zeros(X.n_cols)
+    dense[order] = z
+    return dense, report
+
+
 def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
                 mode: str = "gamma", method: str = "multistart", *,
                 seed: SeedSpec | None = None, n_starts: int = 64) -> Certificate:
@@ -535,20 +598,27 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     ``S_prime`` itself) with the denominator taken on ``S_prime``:
     ``||z_{S'}||^2`` in mode ``gamma``, ``||z||^2`` in mode ``gamma_prime``.
 
-    When ``S_prime`` covers every column both modes are the smallest
-    eigenvalue of the Gram matrix, returned exactly with its eigenvector
-    (method ``exact_svd``).  Mode ``gamma`` with cone support ``S_prime``
-    takes unit directions u of the cone block, solves the convex inner
-    problem over the off-support l1 ball exactly for each, ranks them by
-    the quadratic form, polishes the 8 best lightly in one batched polish,
-    and descends from the best of them and polishes it fully.
-    The two methods differ only in the directions: ``multistart`` uses the
-    cone blocks of the restarts (``n_starts`` Gaussian ones and a few
+    Method ``multistart`` first takes the minimiser of the quotient over
+    all of R^d in closed form (``_free_minimiser``): in mode ``gamma_prime`` the
+    eigenvector of the smallest eigenvalue of the Gram matrix, in mode
+    ``gamma`` that of the off-support block projected out of the S' columns,
+    with the least-norm off-support block.  When it lies in the cone it
+    attains the minimum, and it is returned with method ``exact_svd`` and a
+    report of one eigendecomposition, no descent (``stop`` None).  So is the
+    smallest eigenvalue, for either method, when ``S_prime`` covers every
+    column.  Otherwise the search runs.  Mode ``gamma`` with cone support
+    ``S_prime`` takes unit directions u of the cone block, solves the convex
+    inner problem over the off-support l1 ball exactly for each, ranks them
+    by the quadratic form, polishes the 8 best lightly in one batched polish,
+    and descends from the best of them and polishes it fully.  The two
+    methods differ only in the directions: ``multistart`` uses the cone
+    blocks of the restarts (``n_starts`` Gaussian ones and a few
     deterministic ones), ``grid_oracle`` a 2 degree angular grid, which
-    limits it to this mode and at most 3 certified coordinates.  Every other
-    case, mode ``gamma_prime`` included, descends over whole cone vectors
-    from the same restarts, on the exact projection onto the convex piece of
-    the cone around each iterate.
+    limits it to this mode and at most 3 certified coordinates, and it never
+    takes the closed form, so that it stays an independent oracle.  Every
+    other case, mode ``gamma_prime`` included, descends over whole cone
+    vectors from the same restarts, on the exact projection onto the convex
+    piece of the cone around each iterate.
 
     The report's ``stop`` names the rule that ended the descent
     (``residual`` or ``cap``).  ``converged`` means, for the joint
@@ -567,38 +637,22 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
         raise InvalidSupportError("support dimensions must match the design")
     if not cone.S.contains(S_prime):
         raise InvalidSupportError("S_prime must be contained in the cone support")
-    same = cone.S.indices == S_prime.indices
     if method == "grid_oracle":
-        if mode != "gamma" or not same:
+        if mode != "gamma" or cone.S.indices != S_prime.indices:
             raise ValueError("grid_oracle supports mode gamma with cone support == S_prime")
         if S_prime.size > 3:
             raise ValueError("grid_oracle supports at most 3 certified coordinates")
     kind = KIND_RE_GAMMA if mode == "gamma" else KIND_RE_GAMMA_PRIME
 
-    if S_prime.size == X.n_cols:
-        exact = lambda_min_restricted(X, S_prime)
-        return Certificate(kind=kind, value=re_objective_value(X, exact.witness, S_prime, mode),
-                           witness=exact.witness, method=exact.method,
-                           solver_report=exact.solver_report)
-
-    order = np.concatenate([cone.S.array(), cone.S.complement().array()])
-    E = X.entries[:, order]
-    G = (E.T @ E) / X.n_rows
-    p = cone.S.size
-    if same and mode == "gamma":
-        if method == "grid_oracle":
-            U = _grid_directions(p)
-        else:
-            U = np.unique(_starts(G, p, np.arange(p), cone.L, seed, n_starts)[:p], axis=1)
-            U /= np.linalg.norm(U, axis=0)
-        z, report = _gamma_from_directions(G, p, cone.L, U)
+    # the cone lies in R^d, so a free minimiser inside it attains its minimum
+    z = (_free_minimiser(X, S_prime, mode)
+         if method == "multistart" or S_prime.size == X.n_cols else None)
+    if z is not None and (np.abs(z[cone.S.complement().array()]).sum()
+                          <= cone.L * np.abs(z[cone.S.array()]).sum()):
+        method, report = "exact_svd", SolverReport(iterations=1, restarts=1)
     else:
-        sp = np.searchsorted(cone.S.array(), S_prime.array())
-        z, report = _re_joint(G, p, sp, sp if mode == "gamma" else slice(None), cone.L,
-                              seed, n_starts)
-    dense = np.zeros(X.n_cols)
-    dense[order] = z
-    witness = SparseVector.from_dense(dense)
+        z, report = _re_search(X, cone, S_prime, mode, method, seed, n_starts)
+    witness = SparseVector.from_dense(z)
     return Certificate(kind=kind, value=re_objective_value(X, witness, S_prime, mode),
                        witness=witness, method=method, solver_report=report)
 
@@ -609,14 +663,12 @@ def lambda_min_restricted(X: DesignMatrix, S: SupportSet) -> Certificate:
         raise InvalidSupportError("support must be non-empty")
     if S.dim != X.n_cols:
         raise InvalidSupportError("support dimension must match the design")
-    A = X.entries[:, S.array()]
-    gram = (A.T @ A) / X.n_rows
-    vals, vecs = np.linalg.eigh(gram)
+    value, u = _lowest_eigenpair(X.entries[:, S.array()], X.n_rows)
     z = np.zeros(X.n_cols)
-    z[S.array()] = vecs[:, 0]
+    z[S.array()] = u
     return Certificate(
         kind=KIND_LAMBDA_MIN,
-        value=float(vals[0]),
+        value=value,
         witness=SparseVector.from_dense(z),
         method="exact_svd",
         solver_report=SolverReport(iterations=1, restarts=1, residual=0.0),

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +119,13 @@ REQUIRED_KEYS = {
     "rot-check": ("n", "d", "k", "epsilon"),
 }
 
+# the values a string knob accepts; rno-whp also accepts rotation "none"
+KNOB_VALUES = {
+    "design": ("correlated", "semirandom"),
+    "base": ("correlated", "cross-dup"),
+    "rotation": tuple(ROTATIONS),
+}
+
 
 def columns_for(name: str) -> tuple[str, ...]:
     return ("grid_index",) + PARAM_COLS[name] + ("trial",) + METRIC_COLS[name] + ("pass",)
@@ -157,6 +163,11 @@ class ExperimentSpec:
                 raise ValueError(f"inconsistent grid point {g}")
             if not g.get("sigma", 0.0) >= 0:
                 raise ValueError("sigma must be non-negative, not NaN")
+            for key, values in KNOB_VALUES.items():
+                if key == "rotation" and self.name == "rno-whp":
+                    values += ("none",)
+                if key in g and g[key] not in values:
+                    raise ValueError(f"{key} must be one of {list(values)} in grid point {g}")
             # the ranges BlockSpec.split, rno_constant, the counterexample
             # design and the RIP/RNO enumeration accept
             if ("groups" in GRID_KNOBS.get(self.name, ())
@@ -406,7 +417,11 @@ def _worker_pool(workers: int):
     the parent's environment is as it was once the pool has shut down.  A
     script that runs experiments with several workers therefore needs the
     ``if __name__ == "__main__":`` guard that spawned processes require.
+    The pool modules are imported here, so that a serial run never loads them.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
     os.environ.update(dict.fromkeys(unset, "1"))
     try:
@@ -449,7 +464,10 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+@functools.cache
 def version_string() -> str:
+    """The package version with the source tree's ``git describe``, read once
+    per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ from scipy.special import betainc
 from scipy.stats import binom
 
 from rotlasso import (
+    BlockSpec,
     DesignMatrix,
     EnumerationTooLargeError,
     InvalidSupportError,
@@ -19,6 +21,7 @@ from rotlasso import (
     SparseVector,
     SupportSet,
     cone_membership,
+    correlated_block_design,
     counterexample_design,
     lambda_min_restricted,
     normalize_columns,
@@ -152,9 +155,12 @@ class TestReConstant:
 
         monkeypatch.setattr(certificates, "_inner_min", inner_spy)
         monkeypatch.setattr(certificates, "_descend", descend_spy)
-        X = gaussian_design(23, 8, seed=509)
+        # an instance whose free minimiser leaves the cone, so the search runs
+        X = gaussian_design(23, 8, seed=501)
         S = SupportSet(8, (0, 4))
-        report = re_constant(X, ConeSpec(S), S, mode="gamma").solver_report
+        cert = re_constant(X, ConeSpec(S), S, mode="gamma")
+        report = cert.solver_report
+        assert cert.method == "multistart"
         assert counted["descent"] > 0
         assert report.iterations == counted["inner"] + counted["descent"]
 
@@ -204,6 +210,7 @@ class TestReConstant:
                 z = cert.witness.to_dense()
                 assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
                 assert abs(re_objective_value(XS, z, S, mode) - cert.value) <= 1e-15
+                assert cert.witness == lambda_min_restricted(XS, S).witness
 
     def test_gamma_prime_matches_sphere_grid(self):
         # below the full cone at d = 3; the cone must bind in some cases, or
@@ -234,15 +241,16 @@ class TestReConstant:
             float(np.linalg.eigvalsh(G)[0]), abs=1e-9)
 
     def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
-        # an instance where the final polish's warm-started inner solves need
-        # more than 2 iterations: with every inner solve capped at 2, the
-        # final polish's worst inner residual stays 3 times above its 1e-9
-        # tolerance
-        X = gaussian_design(10, 8, seed=152)
+        # an instance whose free minimiser leaves the cone, and where the
+        # final polish's warm-started inner solves need more than 2
+        # iterations: with every inner solve capped at 2, the final polish's
+        # worst inner residual stays 2.5 times above its 1e-9 tolerance
+        X = gaussian_design(10, 8, seed=146)
         S = SupportSet(8, (0, 1))
         with monkeypatch.context() as m:
             m.setattr(certificates, "_INNER_CAP", 2)
             cert = re_constant(X, ConeSpec(S), S, mode="gamma")
+        assert cert.method == "multistart"
         assert not cert.solver_report.converged
         uncapped = re_constant(X, ConeSpec(S), S, mode="gamma")
         assert uncapped.solver_report.converged
@@ -379,6 +387,14 @@ def _criterion_2_instances():
         yield X, SupportSet.of(d, rng.choice(d, size=p, replace=False))
 
 
+@functools.cache
+def _criterion_2_searches(mode):
+    """The iterative search of ``re_constant`` (dense witness, report) on each
+    of criterion 2's instances, whether or not the closed form certifies it."""
+    return [certificates._re_search(X, ConeSpec(S), S, mode, "multistart", None, 64)
+            for X, S in _criterion_2_instances()]
+
+
 class TestDescentStop:
     """Which rule ends the joint descent, and what ``converged`` then means."""
 
@@ -405,9 +421,9 @@ class TestDescentStop:
         # values near rounding level, where no relative fall settles, and a
         # creeping non-best restart once held the batch to the cap; in mode
         # gamma the stop is that of the tight descent, and the iterations
-        # add the inner sweeps
-        reports = [re_constant(X, ConeSpec(S), S, mode=mode).solver_report
-                   for X, S in _criterion_2_instances()]
+        # add the inner sweeps.  The search runs on every instance, those
+        # that the closed form certifies included.
+        reports = [report for _, report in _criterion_2_searches(mode)]
         if mode == "gamma_prime":
             assert sum(r.iterations >= _DESCENT_CAP for r in reports) == 0
         assert all(r.converged and r.stop == "residual" for r in reports)
@@ -418,6 +434,70 @@ class TestDescentStop:
         cert = re_constant(X, ConeSpec(S), S, mode="gamma_prime")
         assert cert.solver_report.converged
         assert f"{cert.value:.9e}" == "3.231862397e-04"
+
+
+class TestClosedForm:
+    """The free minimiser of the RE quotient, certified when it lies in the cone."""
+
+    @pytest.mark.parametrize("mode", ["gamma", "gamma_prime"])
+    def test_criterion_2_against_the_search(self, mode):
+        # A closed-form witness lies in the cone and is no worse than the
+        # search.  Where it falls back, the free value, a relaxation of the
+        # cone, is at most the search's value.
+        closed = 0
+        for (X, S), (z, _) in zip(_criterion_2_instances(), _criterion_2_searches(mode)):
+            cone = ConeSpec(S)
+            searched = re_objective_value(X, z, S, mode)
+            cert = re_constant(X, cone, S, mode=mode)
+            if cert.method == "exact_svd":
+                closed += 1
+                report = cert.solver_report
+                assert report.converged and report.stop is None
+                assert cone_membership(cert.witness, cone)
+                assert cert.value <= searched * (1.0 + 1e-12) + 1e-15
+            else:
+                assert cert.value == searched
+                free = re_objective_value(X, certificates._free_minimiser(X, S, mode), S, mode)
+                assert free <= searched * (1.0 + 1e-12) + 1e-15
+        # both branches are exercised: 78 and 27 of the 200 take the closed form
+        assert 20 <= closed <= 180
+
+    def test_below_the_grid_oracle(self):
+        checked = 0
+        for X, S in _criterion_2_instances():
+            cert = re_constant(X, ConeSpec(S), S, mode="gamma")
+            if cert.method != "exact_svd":
+                continue
+            go = re_constant(X, ConeSpec(S), S, mode="gamma", method="grid_oracle")
+            assert go.method == "grid_oracle" and go.solver_report.stop == "residual"
+            assert cert.value <= go.value * (1.0 + 1e-12) + 1e-15
+            checked += 1
+            if checked == 25:
+                break
+        assert checked == 25
+
+    def test_a_binding_cone_falls_back_to_the_search(self):
+        # thm-main's design with 8 perturbed off-support groups: the free
+        # minimiser spends more l1 mass off the support than the cone allows
+        S = SupportSet(64, (0, 1, 2))
+        X = correlated_block_design(200, 64, S, BlockSpec.split(S, 8, 0.05), SeedSpec(5))
+        z = certificates._free_minimiser(X, S, "gamma")
+        assert np.abs(z[3:]).sum() > np.abs(z[:3]).sum()
+        cert = re_constant(X, ConeSpec(S), S, mode="gamma")
+        assert cert.method == "multistart" and cert.solver_report.stop == "residual"
+        assert cert.value >= re_objective_value(X, z, S, "gamma")
+
+    def test_free_minimum_vanishes_when_the_rest_spans_the_support(self):
+        # with the off-support columns inside span(X_{S'}), M = 0 and the
+        # free minimum is 0: the least-norm block cancels X_{S'} u exactly
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((12, 2))
+        E = np.column_stack([B, B @ rng.standard_normal((2, 3))])
+        X = DesignMatrix(E)
+        S = SupportSet(5, (0, 1))
+        z = certificates._free_minimiser(X, S, "gamma")
+        assert abs(np.linalg.norm(z[:2]) - 1.0) <= 1e-12
+        assert re_objective_value(X, z, S, "gamma") <= 1e-24
 
 
 class TestLambdaMin:

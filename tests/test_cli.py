@@ -140,8 +140,9 @@ class TestCert:
 
     def test_oracle_method(self, tmp_path):
         out = tmp_path / "g"
+        # perturbed groups, where the free minimiser leaves the cone
         run_cli(["gen", "--kind", "correlated", "--n", 16, "--d", 6, "--k", 2,
-                 "--seed", 4, "--out", out])
+                 "--groups", 2, "--rho", 0.05, "--seed", 4, "--out", out])
         res_ms = tmp_path / "ms.json"
         res_go = tmp_path / "go.json"
         sup = '{"dim": 6, "indices": [0, 1]}'
@@ -151,7 +152,7 @@ class TestCert:
                  "--method", "oracle", "--out", res_go])
         ms = json.loads(res_ms.read_text())
         go = json.loads(res_go.read_text())
-        assert go["method"] == "grid_oracle"
+        assert ms["method"] == "multistart" and go["method"] == "grid_oracle"
         # mode gamma's tight descent ends on its residual certificate
         assert ms["solver_report"]["stop"] == "residual"
         assert abs(ms["value"] - go["value"]) <= 1e-3 * max(go["value"], 1e-12)
@@ -305,6 +306,9 @@ class TestExp:
         ("rot-check", {"n": 50, "d": 8, "k": 3, "rotation": "haar"}),
         ("counterexample", {"k": 1}),
         ("counterexample", {"k": 1, "d": 3}),
+        ("thm-main", {"n": 50, "d": 8, "k": 3, "design": "semirandm"}),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "rotation": "hadamard"}),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "epsilon": 0.2, "rotation": "hadamard"}),
     ])
     def test_unrunnable_grid_point_rejected(self, name, point, tmp_path, capsys):
         cfg = json.dumps({"grid": [point], "trials": 1})
@@ -330,13 +334,24 @@ class TestExp:
         assert not tmp_path.joinpath("sparsify-bound.csv").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # the package runs on numpy alone; scipy is a test-only dependency
+def _modules_after_cli_import(prefix):
+    """The modules under ``prefix`` that a fresh interpreter holds after
+    importing ``rotlasso.cli``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rotlasso.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, rotlasso.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the package runs on numpy alone; scipy is a test-only dependency
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the worker pool's modules load only when a run asks for workers
+    assert _modules_after_cli_import("multiprocessing") == "[]"

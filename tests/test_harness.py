@@ -75,6 +75,12 @@ class TestExperimentSpec:
         ("counterexample", {"k": 4, "d": 12}, "['n']"),
         ("counterexample", {"k": 4, "n": 100, "d": 5}, "k + 2"),
         ("rip-rno", {"n": 50, "d": 8, "s": 5}, "s must lie"),
+        ("thm-main", {"n": 50, "d": 8, "k": 3, "design": "semirandm"}, "design must be one of"),
+        ("lasso-rate", {"n": 50, "d": 8, "k": 2, "design": "Correlated"}, "design must"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "base": "cross_dup"}, "base must"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "rotation": "hadamard"}, "rotation must"),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "epsilon": 0.2, "rotation": "none"},
+         "rotation must"),
     ])
     def test_unrunnable_grid_point_rejected(self, name, point, problem):
         # rejected when the spec is built, not when a trial runs
@@ -303,6 +309,24 @@ class TestEmitAndDeterminism:
         assert summary["hard"] is True
         assert summary["all_rows_pass"] is True
         assert summary["grid_points"][0]["medians"]["error"] is not None
+
+    def test_version_is_read_once_per_process(self, tmp_path, monkeypatch):
+        spec = mini_spec("sparsify-bound", [{"n": 20, "d": 30, "s": 10}], 1)
+        rows = run_experiment(spec)
+        calls = []
+        run = harness.subprocess.run
+        monkeypatch.setattr(harness.subprocess, "run",
+                            lambda cmd, **kw: calls.append(cmd[0]) or run(cmd, **kw))
+        harness.version_string.cache_clear()
+        try:
+            emit_results(spec, rows, tmp_path / "a")
+            emit_results(spec, rows, tmp_path / "b")
+        finally:
+            harness.version_string.cache_clear()
+        assert calls == ["git"]
+        versions = [json.loads((tmp_path / sub / "sparsify-bound.summary.json").read_text())
+                    ["version"] for sub in ("a", "b")]
+        assert versions[0] == versions[1] == harness.version_string()
 
     def test_pass_recomputable_from_row(self, tmp_path):
         # every recorded pass flag is a pure function of the row's own fields

@@ -18,34 +18,33 @@ projected out (gamma).  When that free minimiser lies in the cone it attains
 the cone's minimum, and the multistart returns it with no search; this is
 the regime in which the rest of the design is decorrelated from S'.  When
 the certified set covers every column, both variants are this smallest
-eigenvalue of the Gram matrix, for either method.  Otherwise a search runs.
-Mode gamma with the cone on S' itself goes through one pipeline over a set
-of unit directions of the cone block: an exact inner solve over the
-off-support l1 ball for every direction, one light polish of the 8 best, run
-on them as one block in lockstep, and a tight joint descent and a full
-polish of the best of them.  The multistart feeds it the restarts'
-directions; on small instances with at most 3 certified coordinates the
-independent oracle, which never takes the closed form, feeds it a 2 degree
-angular grid instead.  Every other case (mode gamma', or a cone larger than
-S') is one batched monotone projected-gradient descent over the cone from 64
-and more restarts.  Each of its steps maps back by the exact Euclidean
-projection onto the convex piece of the cone around the point the step
-starts from, so a finished descent is stationary.
+eigenvalue of the Gram matrix, for either method.  Otherwise a search runs:
+one batched monotone projected-gradient descent over the cone, finished by
+one exact solve on the face of the cone that holds its best point.  Each
+step of the descent maps back by the exact Euclidean projection onto the
+convex piece of the cone around the point the step starts from, so a
+finished descent is stationary.  Mode gamma with the cone on S' itself
+starts it from the 8 best of a set of unit directions of the cone block,
+each with its inner minimiser over the off-support l1 ball, solved to a
+coarse tolerance; the multistart takes the restarts' directions, and on
+small instances with at most 3 certified coordinates the independent
+oracle, which never takes the closed form, takes a 2 degree angular grid.
+Every other case (mode gamma', or a cone larger than S') starts it from 64
+and more restarts.
 
-Both descents (the joint one and the tight one of mode gamma) stop on a
-certificate: once the best column's fixed-point residual is at most
-sqrt(u) lambda_max(G), u the unit roundoff.  The objective is second order
-in that residual at a stationary point, so the tolerance leaves the value
-within rounding, times the local condition number, of a descent run to the
-end (``_descend`` gives the derivation).  Otherwise a descent stops at
-``_DESCENT_CAP`` iterations, and every inner solve at ``_INNER_CAP``; the
-report says which of the two rules stopped the descent, and a joint descent
-is ``converged`` only when the residual test passed.  The two polishes of
-mode gamma stop each column on the same certificate: once its tangent
-gradient is at most sqrt(u) lambda_max(G) and an accepted round lowered f
-by at most its rounding, 4 eps |f|, so that every later round would pass or
-fail its Armijo test on rounding alone (``_polish_decomposed`` gives the
-derivation).
+The descent stops on a certificate: once the best column's fixed-point
+residual is at most sqrt(u) lambda_max(G), u the unit roundoff.  The
+objective is second order in that residual at a stationary point, so the
+tolerance leaves the value within rounding, times the local condition
+number, of a descent run to the end (``_descend`` gives the derivation).
+Otherwise it stops at ``_DESCENT_CAP`` iterations, and every inner solve at
+``_INNER_CAP``; the report says which rule stopped the descent, and a
+search is ``converged`` only when the residual test passed.  On the face of
+its best point, where the signs are fixed, both l1 norms are linear, so the
+minimum there is one linear constraint and one small eigenproblem
+(``_face_solve``): the active-set view of the constrained Lasso (Osborne,
+Presnell and Turlach 2000).  Its point replaces the descent's when it stays
+on that face and in the cone and its objective is no higher.
 """
 from __future__ import annotations
 
@@ -75,10 +74,6 @@ DEFAULT_ENUM_CAP = 1_000_000
 # of ``_pair_values_max``
 _BASIS_CHUNK = 2048
 _CHUNK_PAIRS = 200_000
-# inner-solve tolerance of the final gamma polish; the light polishes that
-# rank the candidates use the looser one
-_INNER_TOL = 1e-9
-_LIGHT_INNER_TOL = 1e-7
 # iteration caps of every inner solve and of every descent; a solve that
 # reaches its cap reports that it did not converge
 _INNER_CAP = 100_000
@@ -186,25 +181,22 @@ def re_objective_value(X: DesignMatrix, z, S_prime: SupportSet, mode: str = "gam
 # ---------------------------------------------------------------------------
 
 
-def _inner_min(G, B, radii, step, v0=None, tol=1e-9, check_every=25):
+def _inner_min(G, B, radii, step, tol):
     """FISTA with gradient restarts for min_v 2 b^T v + v^T G v, ||v||_1 <= r.
 
     B holds one column b per problem; radii one radius per problem.  Converged
     columns are frozen and dropped from the working set, so the cost tracks
     the hard problems only; the solve stops after ``_INNER_CAP`` iterations.
-    Returns (V, iterations, worst fixed-point residual, all_converged).
+    Returns (V, iterations).
     """
     q, m = B.shape
     if q == 0 or m == 0:
-        return np.zeros((q, m)), 0, 0.0, True
-    out = np.zeros((q, m)) if v0 is None else project_l1_columns(np.asarray(v0, float), radii)
+        return np.zeros((q, m)), 0
+    out = np.zeros((q, m))
     active = np.arange(m)
-    V = out[:, active].copy()
-    Ba, ra = B[:, active], radii[active]
-    W = V.copy()
-    t = np.ones(active.size)
+    V, W, Ba, ra = out.copy(), out.copy(), B, radii
+    t = np.ones(m)
     it = 0
-    worst = 0.0
     while it < _INNER_CAP and active.size:
         grad = 2.0 * (Ba + G @ W)
         V_new = project_l1_columns(W - step * grad, ra)
@@ -219,22 +211,21 @@ def _inner_min(G, B, radii, step, v0=None, tol=1e-9, check_every=25):
         V = V_new
         t = t_new
         it += 1
-        if it % check_every == 0 or it >= _INNER_CAP:
+        if it % 25 == 0 or it >= _INNER_CAP:
             g = 2.0 * (Ba + G @ V)
             res = (_col_norms(project_l1_columns(V - step * g, ra) - V)
                    / (1.0 + _col_norms(V)))
             keep = ~(res <= tol)  # not converged; a NaN residual counts as such
-            worst = float(res[keep].max() if keep.any() else res.max())
             if keep.all():
                 continue
             out[:, active] = V
             if not keep.any():
-                return out, it, worst, True
+                return out, it
             active = active[keep]
             V, W, t = V[:, keep], W[:, keep], t[keep]
             Ba, ra = Ba[:, keep], ra[keep]
     out[:, active] = V
-    return out, it, worst, active.size == 0
+    return out, it
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +253,8 @@ def _step(G):
 
 def _certificate(step0):
     """sqrt(u) lambda_max(G), u the unit roundoff, from ``step0`` =
-    1 / (2 lambda_max(G)): the residual or tangent gradient at which a
-    descent or a polish stops (``_descend`` derives it)."""
+    1 / (2 lambda_max(G)): the residual at which a descent stops
+    (``_descend`` derives it)."""
     return math.sqrt(np.finfo(float).eps / 2) / (2.0 * step0)
 
 
@@ -378,106 +369,6 @@ def _starts(G, p, sp, L, seed, n_starts):
                           axis=1)
 
 
-def _polish_decomposed(G, p, Z, L, step_inner, inner_tol, max_outer=40):
-    """Refine a (d, m) block of candidate columns in lockstep: one exact inner
-    solve each, then a short alternating stage with Armijo steps on the sphere
-    of the cone block.
-
-    Every column keeps its own step, Armijo try count, outer-step count and
-    stop flag, so it follows the path it would follow alone (m = 1).  Each
-    round the columns that just moved take one batched tangent gradient, and
-    every live column makes one trial step; the inner solves of a round are
-    one batched ``_inner_min`` call, warm-started at each column's current
-    off-support block, so their residual is checked every 5 iterations.  The
-    outer gradient accounts for the l1 budget moving with ||u||_1 whenever
-    the inner constraint is active.
-
-    A column stops once its tangent gradient g is at most 1e-12 (1 + |f|),
-    after ``max_outer`` accepted rounds, after 30 rejections in a row, or
-    after an accepted round that shows that no later one can lower f beyond
-    rounding: ||g|| where the round started is at most sqrt(u) lambda_max(G)
-    (``_certificate``), u the unit roundoff, and the round lowered f by at
-    most 4 eps |f|, eps = 2u the spacing of doubles at 1.  Neither threshold
-    is tuned.  The first is the tight descent's certificate (``_descend``):
-    near a stationary point the rest of a polish run to the end can lower f
-    only by about ||g||^2 / (2 mu), mu the local curvature, and at this
-    ||g|| that is the rounding of f = z^T G z times the local condition
-    number.  The second is a floor on the resolution of f: a computed f is
-    rounded when stored, by up to half a unit in its last place, and before
-    that carries the rounding of the sums that form it, which is larger
-    where f is small against lambda_max(G).  4 eps |f| is four to eight
-    units in the last place of f; two computed values that close do not
-    show which point is lower, so a round that falls no further passed its
-    Armijo test on rounding, as would every later one, each at the price of
-    an inner solve.  Taking the floor, not the larger error of the sums,
-    errs towards more rounds.  The gradient test keeps a column far from
-    stationary, whose step has shrunk after rejections, from stopping on a
-    small fall; the fall test lets a column whose gradient already passed
-    take the rounds that still lower f.  Near f = 0 the relative fall test
-    cannot fire, and the absolute gradient test and the round cap remain.
-
-    Returns (Z, f, inner sweeps, worst inner residual, every inner solve
-    converged); a batched sweep counts once.
-    """
-    g_cert = _certificate(_step(G))
-    f_res = 4.0 * np.finfo(float).eps
-    G_BA, G_BB = G[p:, :p], G[p:, p:]
-    total_inner = 0
-    worst_res = 0.0
-    inner_ok = True
-
-    def solve_inner(U, warm):
-        nonlocal total_inner, worst_res, inner_ok
-        r = L * np.abs(U).sum(axis=0)
-        V, its, res, conv = _inner_min(G_BB, G_BA @ U, r, step_inner, v0=warm,
-                                       tol=inner_tol, check_every=5)
-        total_inner += its
-        worst_res = max(worst_res, res)
-        inner_ok = inner_ok and conv
-        return np.concatenate([U, V]), r
-
-    Z, r = solve_inner(Z[:p], Z[p:])
-    f = _quad(G, Z)
-    m = Z.shape[1]
-    eta = np.full(m, 0.5)
-    outer = np.zeros(m, dtype=int)
-    tries = np.zeros(m, dtype=int)
-    g_t = np.zeros((p, m))
-    gnorm = np.zeros(m)
-    live = np.full(m, max_outer > 0)
-    i = np.flatnonzero(live)  # the columns that just moved
-    while True:
-        if i.size:
-            U, V, ri = Z[:p, i], Z[p:, i], r[i]
-            GZ = 2.0 * (G @ Z[:, i])
-            tight = (ri > 0) & (np.abs(V).sum(axis=0) >= ri * (1.0 - 1e-9))
-            load = np.einsum("qm,qm->m", GZ[p:], V / np.where(tight, ri, 1.0))
-            grad = GZ[:p] + np.where(tight, load * L, 0.0) * np.sign(U)
-            g_t[:, i] = grad - np.einsum("pm,pm->m", grad, U) * U
-            gnorm[i] = _col_norms(g_t[:, i])
-            live[i] = gnorm[i] > 1e-12 * (1.0 + np.abs(f[i]))
-            tries[i] = 0
-        j = np.flatnonzero(live)
-        if j.size == 0:
-            break
-        U_try = Z[:p, j] - eta[j] * g_t[:, j]
-        U_try /= _col_norms(U_try)
-        Z_try, r_try = solve_inner(U_try, Z[p:, j])
-        f_try = _quad(G, Z_try)
-        acc = f_try <= f[j] - 1e-4 * eta[j] * gnorm[j] ** 2
-        a, b = j[acc], j[~acc]
-        settled = (gnorm[a] <= g_cert) & (f[a] - f_try[acc] <= f_res * np.abs(f[a]))
-        Z[:, a], r[a], f[a] = Z_try[:, acc], r_try[acc], f_try[acc]
-        eta[a] = np.minimum(eta[a] * 1.5, 4.0)
-        outer[a] += 1
-        eta[b] *= 0.5
-        tries[b] += 1
-        live[b] = (eta[b] >= 1e-16) & (tries[b] < 30)
-        live[a] = (outer[a] < max_outer) & ~settled
-        i = a[live[a]]
-    return Z, f, total_inner, worst_res, inner_ok
-
-
 def _grid_directions(p):
     if p == 1:
         return np.array([[1.0]])
@@ -494,43 +385,69 @@ def _grid_directions(p):
     ])
 
 
-def _gamma_from_directions(G, p, L, U):
-    """Mode gamma with cone support == S', from unit cone directions U (one
-    per column): a coarse inner sweep over every direction, ranked by the
-    quadratic form; one batched light polish of the 8 leaders; and a tight
-    joint descent and a full polish of the best of them.  Both polishes
-    stop a column once a round can no longer lower f beyond rounding
-    (``_polish_decomposed``).  The report's iterations add the sweeps of the
-    three batched inner solves, each sweep counted once however many columns
-    it carries, and the iterations of the tight descent."""
-    step_inner = _step(G[p:, p:])
-    V, total, _, _ = _inner_min(G[p:, p:], G[p:, :p] @ U, L * np.abs(U).sum(axis=0),
-                                step_inner, tol=1e-5)
-    Z = np.concatenate([U, V])
-    f = _quad(G, Z)
-    Zl, fl, its_light, _, _ = _polish_decomposed(
-        G, p, Z[:, np.argsort(f, kind="stable")[:8]], L, step_inner, _LIGHT_INNER_TOL,
-        max_outer=10)
-    Z, _, its_descent, _, stop = _descend(G, Zl[:, [int(np.argmin(fl))]], p, slice(None, p),
-                                          L, _step(G))
-    Z, _, its, worst_res, ok = _polish_decomposed(G, p, Z, L, step_inner, _INNER_TOL)
-    z = Z[:, 0]
-    report = SolverReport(iterations=total + its_light + its_descent + its,
-                          restarts=U.shape[1], residual=worst_res, converged=ok,
-                          spread=float(np.max(f) - np.min(f)), stop=stop)
-    return z, report
+def _face_solve(G, z, p, den, L):
+    """The minimum of the RE quotient on the face of the cone that holds z, in
+    closed form; returns it when it stays on that face and in the cone, else None.
 
-
-def _re_joint(G, p, sp, den, L, seed, n_starts, max_iter=_DESCENT_CAP):
-    """Joint descent over the whole cone; used for mode gamma_prime (``den``
-    every row) and for mode gamma with a cone support strictly larger than
-    S' (``den`` = ``sp``, the rows of S')."""
-    Z, rho, it, residual, stop = _descend(G, _starts(G, p, sp, L, seed, n_starts), p, den,
-                                          L, _step(G), max_iter)
-    report = SolverReport(iterations=it, restarts=Z.shape[1], residual=residual,
-                          converged=stop == "residual",
-                          spread=float(np.max(rho) - np.min(rho)), stop=stop)
-    return Z[:, int(np.argmin(rho))], report
+    The face fixes the signs sigma of z's cone block and s_A of its nonzero
+    off-support coordinates A, and keeps every other coordinate at 0.  Both
+    l1 norms are linear on it, so where the cone binds at z the cone is the
+    one linear constraint a^T w = 0 on w = z_F, with F the cone block and A,
+    and a = (-L sigma, s_A).  Mode gamma eliminates the coordinates Y of F
+    outside the denominator rows D: for each u = w_D, the best w_Y solves the
+    KKT system [[G_YY, a_Y], [a_Y^T, 0]] [w_Y; mu] = -[G_YD u; a_D^T u], by
+    SVD least squares since G_YY is singular when |A| > n.  So w = B u with
+    B = [I; M], and u is a lowest eigenvector of the p x p matrix B^T G_FF B.
+    Mode gamma' takes B, with orthonormal columns, spanning a^perp.  Where the
+    lowest eigenvalue is tied, the point of its eigenspace nearest z is
+    taken; in mode gamma so is the KKT solution nearest z, which adds a null
+    vector of the system that changes neither the objective nor a^T w.  On a
+    binding face the off-support block is then scaled so that its l1 mass
+    is 1 - 4 eps times L ||u||_1, against the rounding of the sums.  The
+    point is returned only if it keeps the signs (sigma, s_A) and passes the
+    plain cone inequality.
+    """
+    eps = np.finfo(float).eps
+    F = np.concatenate([np.arange(p), p + np.flatnonzero(z[p:])])
+    w0, signs = z[F], np.sign(z[F])
+    a = np.concatenate([-L * signs[:p], signs[p:]])
+    if a @ w0 < -1e-9 * L * (signs[:p] @ w0[:p]):  # z lies inside the cone
+        a[:] = 0.0
+    GF = G[np.ix_(F, F)]
+    D = np.arange(G.shape[0])[den]
+    gamma_prime = D.size == G.shape[0]  # the denominator is the whole face
+    if gamma_prime:
+        B = np.linalg.svd(a[None, :])[2][1:].T if a.any() else np.eye(F.size)
+        x0 = B.T @ w0
+    else:
+        Y = np.setdiff1d(np.arange(F.size), D)
+        K = np.zeros((Y.size + 1, Y.size + 1))
+        K[:-1, :-1] = GF[np.ix_(Y, Y)]
+        K[:-1, -1] = K[-1, :-1] = a[Y]
+        U, s, Vt = np.linalg.svd(K)
+        r = int(np.count_nonzero(s > s[0] * K.shape[0] * eps))
+        rhs = -np.vstack([GF[np.ix_(Y, D)], a[None, D]])
+        B = np.zeros((F.size, D.size))
+        B[D] = np.eye(D.size)
+        B[Y] = (Vt[:r].T @ ((U[:, :r].T @ rhs) / s[:r, None]))[:-1]
+        x0 = w0[D]
+    vals, vecs = np.linalg.eigh(B.T @ GF @ B)
+    tied = vecs[:, vals <= vals[0] + 16.0 * eps * np.abs(GF).max() * (B * B).sum()]
+    x = tied @ (tied.T @ x0)
+    if not x.any():
+        return None
+    w = B @ (x / np.linalg.norm(x))
+    if not gamma_prime:
+        null = Vt[r:]
+        w[Y] += (null.T @ (null @ np.append(w0[Y] - w[Y], 0.0)))[:-1]
+    if a.any() and w[p:].any():  # onto the face's plane, 4 eps inside it
+        w[p:] *= (1.0 - 4.0 * eps) * L * np.abs(w[:p]).sum() / np.abs(w[p:]).sum()
+    if not (np.all(signs * w >= 0.0)
+            and np.abs(w[p:]).sum() <= L * np.abs(w[:p]).sum()):
+        return None
+    out = np.zeros(G.shape[0])
+    out[F] = w
+    return out
 
 
 def _lowest_eigenpair(A, n):
@@ -568,25 +485,40 @@ def _free_minimiser(X: DesignMatrix, S_prime: SupportSet, mode: str):
 
 def _re_search(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet, mode: str,
                method: str, seed: SeedSpec | None, n_starts: int):
-    """The iterative solvers of ``re_constant``; returns (dense witness, report)."""
+    """The iterative solver of ``re_constant``: one batched descent from a set
+    of starts, finished by one face solve; returns (dense witness, report)."""
     order = np.concatenate([cone.S.array(), cone.S.complement().array()])
     E = X.entries[:, order]
     G = (E.T @ E) / X.n_rows
     p = cone.S.size
+    sp = np.searchsorted(cone.S.array(), S_prime.array())
+    starts = _starts(G, p, sp, cone.L, seed, n_starts)
+    sweeps = 0
     if cone.S.indices == S_prime.indices and mode == "gamma":
+        # unit directions of the cone block, each with its inner minimiser over
+        # the off-support l1 ball to a coarse tolerance; the 8 lowest start
         if method == "grid_oracle":
             U = _grid_directions(p)
         else:
-            U = np.unique(_starts(G, p, np.arange(p), cone.L, seed, n_starts)[:p], axis=1)
+            U = np.unique(starts[:p], axis=1)
             U /= np.linalg.norm(U, axis=0)
-        z, report = _gamma_from_directions(G, p, cone.L, U)
+        V, sweeps = _inner_min(G[p:, p:], G[p:, :p] @ U, cone.L * np.abs(U).sum(axis=0),
+                               _step(G[p:, p:]), tol=1e-5)
+        starts = np.concatenate([U, V])
+        starts = starts[:, np.argsort(_quad(G, starts), kind="stable")[:8]]
+        restarts, den = U.shape[1], slice(None, p)
     else:
-        sp = np.searchsorted(cone.S.array(), S_prime.array())
-        z, report = _re_joint(G, p, sp, sp if mode == "gamma" else slice(None), cone.L,
-                              seed, n_starts)
-    dense = np.zeros(X.n_cols)
-    dense[order] = z
-    return dense, report
+        restarts, den = starts.shape[1], sp if mode == "gamma" else slice(None)
+    Z, rho, its, residual, stop = _descend(G, starts, p, den, cone.L, _step(G), _DESCENT_CAP)
+    report = SolverReport(iterations=sweeps + its, restarts=restarts, residual=residual,
+                          converged=stop == "residual", spread=float(np.ptp(rho)), stop=stop)
+    best = Z[:, int(np.argmin(rho))]
+    face = _face_solve(G, best, p, den, cone.L)
+    dense = np.zeros((2, X.n_cols))
+    dense[:, order] = best if face is None else np.stack([best, face])
+    # the face point replaces the descent's only if its objective is no higher
+    value = [re_objective_value(X, z, S_prime, mode) for z in dense]
+    return dense[1] if value[1] <= value[0] else dense[0], report
 
 
 def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
@@ -606,26 +538,29 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     attains the minimum, and it is returned with method ``exact_svd`` and a
     report of one eigendecomposition, no descent (``stop`` None).  So is the
     smallest eigenvalue, for either method, when ``S_prime`` covers every
-    column.  Otherwise the search runs.  Mode ``gamma`` with cone support
-    ``S_prime`` takes unit directions u of the cone block, solves the convex
-    inner problem over the off-support l1 ball exactly for each, ranks them
-    by the quadratic form, polishes the 8 best lightly in one batched polish,
-    and descends from the best of them and polishes it fully.  The two
-    methods differ only in the directions: ``multistart`` uses the cone
-    blocks of the restarts (``n_starts`` Gaussian ones and a few
-    deterministic ones), ``grid_oracle`` a 2 degree angular grid, which
-    limits it to this mode and at most 3 certified coordinates, and it never
-    takes the closed form, so that it stays an independent oracle.  Every
-    other case, mode ``gamma_prime`` included, descends over whole cone
-    vectors from the same restarts, on the exact projection onto the convex
-    piece of the cone around each iterate.
+    column.  Otherwise the search runs (``_re_search``): one batched descent
+    over whole cone vectors, on the exact projection onto the convex piece
+    of the cone around each iterate, and one exact solve on the face of the
+    cone that holds its best point (``_face_solve``).  Mode ``gamma`` with
+    cone support ``S_prime`` starts the descent from unit directions u of
+    the cone block: it solves the convex inner problem over the off-support
+    l1 ball to a coarse tolerance for each, ranks them by the quadratic
+    form, and descends from the 8 best.  The two methods differ only in the
+    directions: ``multistart`` uses the cone blocks of the restarts
+    (``n_starts`` Gaussian ones and a few deterministic ones),
+    ``grid_oracle`` a 2 degree angular grid, which limits it to this mode
+    and at most 3 certified coordinates, and it never takes the closed form,
+    so that it stays an independent oracle.  Every other case, mode
+    ``gamma_prime`` included, descends from the restarts themselves.
 
     The report's ``stop`` names the rule that ended the descent
-    (``residual`` or ``cap``).  ``converged`` means, for the joint
-    descent, that its residual test passed, and in the mode ``gamma``
-    pipeline that every inner solve of the final polish converged.
-    ``iterations`` counts the descent's iterations, and in the mode
-    ``gamma`` pipeline also the sweeps of its batched inner solves.
+    (``residual`` or ``cap``), and ``converged`` means that its residual
+    test passed.  ``residual`` is the best column's fixed-point residual
+    where the descent stopped, in every mode.  ``iterations`` counts the
+    descent's iterations and, in mode ``gamma`` on its own cone, the sweeps
+    of the batched inner solve.  ``restarts`` counts the starting points,
+    and ``spread`` is the range of the descent's end values over its
+    columns.
     """
     if mode not in ("gamma", "gamma_prime"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -180,21 +180,51 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_cert(args) -> int:
+def _cert_inputs(parser, args):
+    """The design and support of ``cert``; flags that its certificate cannot
+    run with are usage errors, raised before any output is written."""
+    def reject(flag, problem):
+        parser.error(f"argument {flag}: {problem}")
+
+    if args.what in ("re", "re-prime") and not args.cone_slack >= 1.0:
+        reject("--cone-slack", f"must be at least 1, got {args.cone_slack}")
+    if args.method == "oracle" and args.what != "re":
+        reject("--method", f"oracle applies to --what re only, not {args.what}")
+    if args.what == "rot-check" and not args.epsilon >= 0.0:
+        reject("--epsilon", f"must be a number at least 0, got {args.epsilon}")
     X, _ = read_design(args.matrix)
+    if args.what == "rip":
+        if args.s > X.n_cols:
+            reject("--s", f"must be at most d = {X.n_cols}, got {args.s}")
+        return X, None
+    if args.support is None:
+        reject("--support", f"required for --what {args.what}")
+    try:
+        S = _load_support(args.support, X.n_cols)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        reject("--support", f"cannot read a support of the {X.n_cols} columns: {exc}")
+    if S.dim != X.n_cols or S.size == 0:
+        reject("--support", f"must be a non-empty subset of the {X.n_cols} columns")
+    if args.method == "oracle" and S.size > 3:
+        reject("--method", f"oracle supports at most 3 support columns, got {S.size}")
+    if args.what == "rno" and args.s > min(S.size, X.n_cols - S.size):
+        reject("--s", f"must be at most min(|S|, d - |S|) = {min(S.size, X.n_cols - S.size)}, "
+                      f"got {args.s}")
+    return X, S
+
+
+def _cmd_cert(args) -> int:
+    X, S = args.X, args.S
     seed = _seed_spec(args.seed)
     method = {"multistart": "multistart", "oracle": "grid_oracle"}[args.method]
     if args.what in ("re", "re-prime"):
-        S = _load_support(args.support, X.n_cols)
         mode = "gamma" if args.what == "re" else "gamma_prime"
         cert = re_constant(X, ConeSpec(S, args.cone_slack), S, mode=mode,
                            method=method, seed=seed)
         payload = cert.to_json_dict()
     elif args.what == "lambda-min":
-        S = _load_support(args.support, X.n_cols)
         payload = lambda_min_restricted(X, S).to_json_dict()
     elif args.what == "rno":
-        S = _load_support(args.support, X.n_cols)
         cert = rno_constant(X, S, args.s, cap=args.cap,
                             sample_pairs=args.sample_pairs, seed=seed)
         payload = cert.to_json_dict()
@@ -206,7 +236,6 @@ def _cmd_cert(args) -> int:
         payload = cert.to_json_dict()
         payload["rescaled_by"] = f"1/sqrt({X.n_rows})"
     else:  # rot-check
-        S = _load_support(args.support, X.n_cols)
         kind = ROTATIONS[args.rotation]()
 
         def regen(sd):
@@ -377,6 +406,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen":
         _check_gen_counts(parser, args)
+    if args.command == "cert":
+        args.X, args.S = _cert_inputs(parser, args)
     if args.command == "exp":
         if args.name == "all" and args.config is not None:
             parser.error("--config applies to one experiment, not to 'all'")

@@ -34,6 +34,7 @@ from rotlasso.harness import (
     default_spec,
     emit_results,
     run_experiment,
+    run_experiments,
 )
 
 from test_lasso import lasso_grid_oracle, project_qp_oracle
@@ -254,11 +255,14 @@ DETERMINISM_GRIDS = {
 def test_criterion_10_determinism(tmp_path):
     t0 = time.time()
     identical = True
-    for name, cfg in DETERMINISM_GRIDS.items():
-        spec = ExperimentSpec(name=name, grid=tuple(cfg["grid"]),
-                              trials=cfg["trials"], master_seed=20250811)
-        emit_results(spec, run_experiment(spec, workers=1), tmp_path / "a")
-        emit_results(spec, run_experiment(spec, workers=2), tmp_path / "b")
+    specs = [ExperimentSpec(name=name, grid=tuple(cfg["grid"]), trials=cfg["trials"],
+                            master_seed=20250811)
+             for name, cfg in DETERMINISM_GRIDS.items()]
+    # the serial run, then every experiment through one pool of 2 workers
+    for workers, out in ((1, "a"), (2, "b")):
+        for spec, rows in run_experiments(specs, workers=workers):
+            emit_results(spec, rows, tmp_path / out)
+    for name in DETERMINISM_GRIDS:
         for fname in (f"{name}.csv", f"{name}.summary.json"):
             same = ((tmp_path / "a" / fname).read_bytes()
                     == (tmp_path / "b" / fname).read_bytes())

@@ -41,12 +41,8 @@ from rotlasso import certificates, write_design
 from rotlasso.cli import main as cli_main
 from rotlasso.certificates import (
     _DESCENT_CAP,
-    _INNER_TOL,
-    _LIGHT_INNER_TOL,
     ConeSpec,
     _descend,
-    _polish_decomposed,
-    _re_joint,
     _rip_clear_margin,
     _rip_cleared,
     _sampled_subsets,
@@ -241,14 +237,13 @@ class TestReConstant:
             float(np.linalg.eigvalsh(G)[0]), abs=1e-9)
 
     def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
-        # an instance whose free minimiser leaves the cone, and where the
-        # final polish's warm-started inner solves need more than 2
-        # iterations: with every inner solve capped at 2, the final polish's
-        # worst inner residual stays 2.5 times above its 1e-9 tolerance
+        # an instance whose free minimiser leaves the cone: with the descent
+        # capped at 2 iterations, before its first residual test, the search
+        # stops on the cap
         X = gaussian_design(10, 8, seed=146)
         S = SupportSet(8, (0, 1))
         with monkeypatch.context() as m:
-            m.setattr(certificates, "_INNER_CAP", 2)
+            m.setattr(certificates, "_DESCENT_CAP", 2)
             cert = re_constant(X, ConeSpec(S), S, mode="gamma")
         assert cert.method == "multistart"
         assert not cert.solver_report.converged
@@ -257,14 +252,14 @@ class TestReConstant:
         # still a valid upper bound certified by a feasible witness
         assert cert.value >= uncapped.value - 1e-6
 
-    def test_joint_residual_tells_cut_short_from_finished(self):
+    def test_joint_residual_tells_cut_short_from_finished(self, monkeypatch):
         X = gaussian_design(23, 8, seed=509)
         S = SupportSet(8, (0, 4))
-        order = np.concatenate([S.array(), S.complement().array()])
-        E = X.entries[:, order]
-        G = E.T @ E / 23
-        runs = [_re_joint(G, 2, np.arange(2), slice(None), 1.0, None, 64, max_iter=m)[1]
-                for m in (1, _DESCENT_CAP)]
+        runs = []
+        for cap in (1, _DESCENT_CAP):
+            monkeypatch.setattr(certificates, "_DESCENT_CAP", cap)
+            runs.append(certificates._re_search(X, ConeSpec(S), S, "gamma_prime",
+                                                "multistart", None, 64)[1])
         assert not runs[0].converged and runs[1].converged
         assert runs[0].residual > runs[1].residual
         # on the exact cone projection a finished descent is stationary
@@ -290,66 +285,6 @@ class TestReConstant:
         big = SupportSet(4, (0, 1, 2, 3))
         with pytest.raises(ValueError):
             re_constant(X, ConeSpec(big), big, method="grid_oracle")
-
-
-class TestBatchedPolish:
-    """A block of candidates polished in lockstep against each polished alone."""
-
-    @pytest.mark.parametrize("max_outer", [10, 40])
-    def test_each_column_matches_its_own_polish(self, max_outer):
-        rng = np.random.default_rng(71)
-        for seed, (n, d, p) in enumerate(((20, 12, 2), (30, 20, 3), (25, 30, 4))):
-            X = gaussian_design(n, d, seed=300 + seed)
-            G = X.entries.T @ X.entries / n
-            U = rng.standard_normal((p, 8))
-            Z = np.concatenate([U / np.linalg.norm(U, axis=0), np.zeros((d - p, 8))])
-            args = (1.0, _step(G[p:, p:]), _LIGHT_INNER_TOL, max_outer)
-            _, f, _, _, _ = _polish_decomposed(G, p, Z, *args)
-            alone = [_polish_decomposed(G, p, Z[:, [i]], *args)[1][0] for i in range(8)]
-            assert_allclose(f, alone, rtol=1e-10, atol=0.0)
-
-    def test_a_finished_polish_stops_at_once(self, monkeypatch):
-        # Each round is one batched inner solve.  A 40-round run makes at
-        # least 41 of them, each of at least 5 sweeps (the residual check
-        # period).  Polishing a finished polish again takes one fresh inner
-        # solve, and then each column's first accepted round settles it, or
-        # its 30th rejection in a row ends it: at most 31 solves.  No
-        # accepted round may raise f above where it left f.
-        rng = np.random.default_rng(72)
-        for seed, (n, d, p) in enumerate(((20, 12, 2), (30, 20, 3), (25, 30, 4),
-                                          (200, 64, 3))):
-            X = gaussian_design(n, d, seed=500 + seed)
-            G = X.entries.T @ X.entries / n
-            U = rng.standard_normal((p, 8))
-            Z = np.concatenate([U / np.linalg.norm(U, axis=0), np.zeros((d - p, 8))])
-            args = (1.0, _step(G[p:, p:]), _INNER_TOL)
-            Z, f, _, _, _ = _polish_decomposed(G, p, Z, *args)
-            f0 = _polish_decomposed(G, p, Z, *args, max_outer=0)[1]
-            assert_allclose(f0, f, rtol=1e-14, atol=0.0)
-            calls = []
-            inner = certificates._inner_min
-            monkeypatch.setattr(certificates, "_inner_min",
-                                lambda *a, **k: calls.append(1) or inner(*a, **k))
-            _, f2, sweeps, _, _ = _polish_decomposed(G, p, Z, *args)
-            monkeypatch.undo()
-            assert len(calls) <= 31 and sweeps < 41 * 5
-            assert np.all(f2 <= f0)
-
-    def test_a_column_above_the_certificate_keeps_polishing(self):
-        # f(u) = u^T A u on the unit circle, A = diag(1, 1.01), and the
-        # off-support column adds nothing.  At angle theta from the minimiser
-        # the tangent gradient is 0.01 sin(2 theta), here 3.0e-8, above the
-        # certificate sqrt(u) lambda_max(G) = 1.06e-8.  A step of 0.5 lowers
-        # f by about 0.5 * (3e-8)^2 = 4.5e-16, within 4 eps |f| = 8.9e-16, and
-        # the gradient by 1%, so a fall test alone would stop the column
-        # after one round.  It must polish on until the gradient passes.
-        G = np.diag([1.0, 1.01, 1.0])
-        theta = 1.5e-6
-        Z = np.array([[math.cos(theta)], [math.sin(theta)], [0.0]])
-        Z, f, _, _, _ = _polish_decomposed(G, 2, Z, 1.0, 1.0, _INNER_TOL)
-        gradient = 0.01 * math.sin(2.0 * math.atan2(Z[1, 0], Z[0, 0]))
-        assert 0.0 < gradient <= math.sqrt(np.finfo(float).eps / 2) * 1.01
-        assert f[0] < 1.0 + 0.01 * math.sin(theta) ** 2
 
 
 class TestBatchedDescent:
@@ -389,18 +324,42 @@ def _criterion_2_instances():
 
 @functools.cache
 def _criterion_2_searches(mode):
-    """The iterative search of ``re_constant`` (dense witness, report) on each
-    of criterion 2's instances, whether or not the closed form certifies it."""
-    return [certificates._re_search(X, ConeSpec(S), S, mode, "multistart", None, 64)
-            for X, S in _criterion_2_instances()]
+    """The iterative search of ``re_constant`` on each of criterion 2's
+    instances, whether or not the closed form certifies it, with a spy on
+    its face solve.  One (finished witness, report, the descent's witness,
+    the face point or None) per instance, each dense in the design's
+    coordinates."""
+    face_solve = certificates._face_solve
+    out = []
+    for X, S in _criterion_2_instances():
+        order = np.concatenate([S.array(), S.complement().array()])
+        seen = []
+
+        def spy(G, z, *args):
+            seen.append((z, face_solve(G, z, *args)))
+            return seen[-1][1]
+
+        certificates._face_solve = spy
+        try:
+            finished, report = certificates._re_search(X, ConeSpec(S), S, mode, "multistart",
+                                                       None, 64)
+        finally:
+            certificates._face_solve = face_solve
+        [(z, face)] = seen
+        dense = np.zeros((2, X.n_cols))
+        dense[:, order] = z if face is None else np.stack([z, face])
+        out.append((finished, report, dense[0], None if face is None else dense[1]))
+    return out
 
 
 class TestDescentStop:
     """Which rule ends the joint descent, and what ``converged`` then means."""
 
-    def test_each_rule_reports_itself(self):
+    def test_each_rule_reports_itself(self, monkeypatch):
         # the instance of test_joint_residual_tells_cut_short_from_finished
-        E = gaussian_design(23, 8, seed=509).entries[:, [0, 4, 1, 2, 3, 5, 6, 7]]
+        X = gaussian_design(23, 8, seed=509)
+        S = SupportSet(8, (0, 4))
+        E = X.entries[:, [0, 4, 1, 2, 3, 5, 6, 7]]
         G = E.T @ E / 23
         step0 = _step(G)
         tol = math.sqrt(np.finfo(float).eps / 2) / (2.0 * step0)
@@ -411,19 +370,20 @@ class TestDescentStop:
         assert stop == "residual" and its % 20 == 0 and its < _DESCENT_CAP and res <= tol
         _, _, its, res, stop = _descend(*args, 7)
         assert stop == "cap" and its == 7 and res > tol
-        for max_iter, stop in ((1, "cap"), (_DESCENT_CAP, "residual")):
-            report = _re_joint(G, 2, np.arange(2), slice(None), 1.0, None, 64,
-                               max_iter=max_iter)[1]
+        for cap, stop in ((1, "cap"), (_DESCENT_CAP, "residual")):
+            monkeypatch.setattr(certificates, "_DESCENT_CAP", cap)
+            report = certificates._re_search(X, ConeSpec(S), S, "gamma_prime", "multistart",
+                                             None, 64)[1]
             assert report.stop == stop and report.converged is (stop == "residual")
 
     @pytest.mark.parametrize("mode", ["gamma", "gamma_prime"])
     def test_gamma_prime_finishes_on_criterion_2(self, mode):
         # values near rounding level, where no relative fall settles, and a
         # creeping non-best restart once held the batch to the cap; in mode
-        # gamma the stop is that of the tight descent, and the iterations
+        # gamma the stop is that of the batched descent, and the iterations
         # add the inner sweeps.  The search runs on every instance, those
         # that the closed form certifies included.
-        reports = [report for _, report in _criterion_2_searches(mode)]
+        reports = [search[1] for search in _criterion_2_searches(mode)]
         if mode == "gamma_prime":
             assert sum(r.iterations >= _DESCENT_CAP for r in reports) == 0
         assert all(r.converged and r.stop == "residual" for r in reports)
@@ -445,7 +405,7 @@ class TestClosedForm:
         # search.  Where it falls back, the free value, a relaxation of the
         # cone, is at most the search's value.
         closed = 0
-        for (X, S), (z, _) in zip(_criterion_2_instances(), _criterion_2_searches(mode)):
+        for (X, S), (z, *_) in zip(_criterion_2_instances(), _criterion_2_searches(mode)):
             cone = ConeSpec(S)
             searched = re_objective_value(X, z, S, mode)
             cert = re_constant(X, cone, S, mode=mode)
@@ -498,6 +458,57 @@ class TestClosedForm:
         z = certificates._free_minimiser(X, S, "gamma")
         assert abs(np.linalg.norm(z[:2]) - 1.0) <= 1e-12
         assert re_objective_value(X, z, S, "gamma") <= 1e-24
+
+
+class TestFaceSolve:
+    """The exact minimum on the face of the cone that holds the descent's witness."""
+
+    @pytest.mark.parametrize("mode", ["gamma", "gamma_prime"])
+    def test_criterion_2_never_above_the_descent(self, mode):
+        adopted = 0
+        for (X, S), (finished, _, z, face) in zip(_criterion_2_instances(),
+                                                  _criterion_2_searches(mode)):
+            descent = re_objective_value(X, z, S, mode)
+            assert re_objective_value(X, finished, S, mode) <= descent * (1.0 + 1e-12) + 1e-15
+            assert cone_membership(finished, ConeSpec(S))
+            if face is not None:
+                # the face point stays on its face: the signs of z where z is
+                # nonzero, and 0 off the support where z is 0
+                assert np.all(np.sign(z) * face >= 0.0)
+                assert not np.any(face[S.complement().array()][z[S.complement().array()] == 0])
+                adopted += np.array_equal(finished, face)
+        assert adopted >= 50
+
+    def test_a_tied_lowest_eigenvalue_reaches_rounding(self):
+        # gamma = 0 up to rounding: with p = 2 and more off-support columns
+        # than rows the face's lowest eigenvalue is tied, and its point
+        # nearest the descent's witness must be taken
+        X, S = list(_criterion_2_instances())[6]
+        finished, _, z, face = _criterion_2_searches("gamma")[6]
+        assert (X.n_rows, X.n_cols, S.size) == (6, 12, 2)
+        assert face is not None and np.array_equal(finished, face)
+        assert re_objective_value(X, finished, S, "gamma") < 1e-15
+
+    def test_a_face_minimum_off_its_face_is_refused(self):
+        # z = (1, 1/2, 1/2) lies on the binding face {v_1 + v_2 = u} of the
+        # cone with L = 1 on coordinate 0.  X(1, 2, -1) = 0.1 e_3 is the
+        # minimum on that plane, and it breaks the sign of v_2, so it is not
+        # a point of the face
+        E = np.array([[-2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.1, 0.0, 0.0]])
+        G = E.T @ E
+        z = np.array([1.0, 0.5, 0.5])
+        assert certificates._face_solve(G, z, 1, slice(None, 1), 1.0) is None
+
+    def test_a_point_on_the_cone_boundary_is_adopted(self):
+        # the face point lies on the cone boundary, where the plain cone
+        # inequality holds only once the off-support block is scaled back
+        X, S = list(_criterion_2_instances())[114]
+        finished, _, z, face = _criterion_2_searches("gamma")[114]
+        assert (X.n_rows, X.n_cols, S.size) == (6, 7, 3)
+        assert face is not None and np.array_equal(finished, face)
+        on = np.abs(face[S.array()]).sum()
+        assert np.abs(face).sum() - on == pytest.approx(on, rel=1e-14)
+        assert re_objective_value(X, face, S, "gamma") < re_objective_value(X, z, S, "gamma")
 
 
 class TestLambdaMin:

@@ -138,6 +138,25 @@ class TestCert:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--what", "re", "--support", "[0, 1]", "--cone-slack", 0.5], "--cone-slack"),
+        (["--what", "re-prime", "--support", "[0, 1]", "--method", "oracle"], "--method"),
+        (["--what", "re", "--support", "[0, 1, 2, 3]", "--method", "oracle"], "--method"),
+        (["--what", "re"], "--support"),
+        (["--what", "re", "--support", "[0, 9]"], "--support"),
+        (["--what", "lambda-min", "--support", "[]"], "--support"),
+        (["--what", "rno", "--support", "[0, 1, 2, 3]", "--s", 5], "--s"),
+        (["--what", "rip", "--s", 10], "--s"),
+    ], ids=["cone-slack-below-one", "oracle-re-prime", "oracle-four-columns", "no-support",
+            "index-not-below-d", "empty-support", "rno-s-above-side", "rip-s-above-d"])
+    def test_bad_input_rejected(self, flags, flag, stored_design, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["cert", "--matrix", stored_design, *flags, "--out", out])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_method(self, tmp_path):
         out = tmp_path / "g"
         # perturbed groups, where the free minimiser leaves the cone
@@ -153,7 +172,7 @@ class TestCert:
         ms = json.loads(res_ms.read_text())
         go = json.loads(res_go.read_text())
         assert ms["method"] == "multistart" and go["method"] == "grid_oracle"
-        # mode gamma's tight descent ends on its residual certificate
+        # mode gamma's descent ends on its residual certificate
         assert ms["solver_report"]["stop"] == "residual"
         assert abs(ms["value"] - go["value"]) <= 1e-3 * max(go["value"], 1e-12)
 
@@ -167,12 +186,14 @@ class TestCert:
         assert isinstance(rc["exceedances"], int)
         assert rc["exceedances"] / rc["trials"] == rc["rate"]
 
-    def test_rot_check_rejects_nan_epsilon(self, stored_design, tmp_path):
+    def test_rot_check_rejects_nan_epsilon(self, stored_design, tmp_path, capsys):
         out = tmp_path / "rc.json"
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["cert", "--what", "rot-check", "--matrix", stored_design,
                      "--support", '[0, 1, 2, 3]', "--epsilon", "nan", "--trials", 5,
                      "--out", out])
+        assert exc.value.code == 2
+        assert "argument --epsilon:" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -21,8 +21,6 @@ from .core import (
     write_support,
 )
 from .designs import (
-    BlockSpec,
-    CorrelatedGroup,
     RotationKind,
     correlated_block_design,
     counterexample_design,

@@ -34,7 +34,6 @@ from .core import (
 )
 from .designs import (
     ROTATIONS,
-    BlockSpec,
     correlated_block_design,
     counterexample_design,
     partially_rotate,
@@ -43,9 +42,8 @@ from .designs import (
     semirandom_gaussian_design,
 )
 from .harness import (
-    DEFAULT_CONFIGS,
-    EXPERIMENT_NAMES,
-    ExperimentSpec,
+    EXPERIMENTS,
+    default_spec,
     emit_results,
     hard_experiments_pass,
     run_experiments,
@@ -86,8 +84,8 @@ def _load_json_arg(value: str) -> dict:
 
 
 def _exp_config(value: str) -> dict:
-    """An experiment config (inline JSON or a file): a list of grid points, an
-    integer trial count, and optionally an integer master seed."""
+    """An experiment config (inline JSON or a file): a list of grid points, a
+    trial count, and optionally a master seed; the experiment checks the values."""
     try:
         config = _load_json_arg(value)
     except (OSError, ValueError) as exc:
@@ -103,10 +101,6 @@ def _exp_config(value: str) -> dict:
             f"config has unknown key(s) {unknown}; allowed: 'grid', 'trials', 'master_seed'")
     if not (isinstance(config["grid"], list) and all(isinstance(g, dict) for g in config["grid"])):
         raise argparse.ArgumentTypeError("config 'grid' must be a list of JSON objects")
-    for key in ("trials", "master_seed"):
-        if key in config and type(config[key]) is not int:
-            raise argparse.ArgumentTypeError(
-                f"config {key!r} must be an integer, got {config[key]!r}")
     return config
 
 
@@ -174,7 +168,7 @@ def _cmd_gen(args) -> int:
         X = rotated_adversary_design(X0, A, kind, seed.substream(1))
         S = SupportSet(X.n_cols, tuple(range(d)))
     else:  # correlated
-        X = correlated_block_design(n, d, S, BlockSpec.split(S, args.groups, args.rho), seed)
+        X = correlated_block_design(n, d, S, args.groups, args.rho, seed)
     paths = write_design(X, args.out, seed=seed, support=S if S.size else None)
     _write_json({"written": paths, "n": X.n_rows, "d": X.n_cols}, None)
     return 0
@@ -296,23 +290,6 @@ def _cmd_lasso(args) -> int:
     return 0
 
 
-def _exp_specs(args) -> list[ExperimentSpec]:
-    """The experiments ``exp`` runs; a bad config raises ValueError or TypeError."""
-    names = list(EXPERIMENT_NAMES) if args.name == "all" else [args.name]
-    specs = []
-    for name in names:
-        cfg = args.config if args.config is not None else DEFAULT_CONFIGS[name]
-        specs.append(ExperimentSpec(
-            name=name,
-            grid=tuple(cfg["grid"]),
-            trials=int(cfg["trials"]),
-            master_seed=args.seed if args.seed is not None
-            else int(cfg.get("master_seed", 20250811)),
-            out_dir=args.out_dir,
-        ))
-    return specs
-
-
 def _cmd_exp(args) -> int:
     ok = True
     for spec, rows in run_experiments(args.specs, args.workers):
@@ -389,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(func=_cmd_lasso)
 
     e = sub.add_parser("exp", help="run a named experiment (or 'all')")
-    e.add_argument("name", choices=list(EXPERIMENT_NAMES) + ["all"])
+    e.add_argument("name", choices=list(EXPERIMENTS) + ["all"])
     e.add_argument("--config", type=_exp_config,
                    help="experiment config JSON (inline or file) with 'grid' and 'trials'; "
                         "one experiment only")
@@ -411,9 +388,11 @@ def main(argv=None) -> int:
     if args.command == "exp":
         if args.name == "all" and args.config is not None:
             parser.error("--config applies to one experiment, not to 'all'")
+        names = list(EXPERIMENTS) if args.name == "all" else [args.name]
         try:
-            args.specs = _exp_specs(args)
-        except (TypeError, ValueError) as exc:
+            args.specs = [default_spec(name, args.config, args.seed, args.out_dir)
+                          for name in names]
+        except ValueError as exc:
             parser.error(f"bad experiment config: {exc}")
     return args.func(args)
 

@@ -214,80 +214,39 @@ def counterexample_design(n: int, d: int, k: int,
     return DesignMatrix(out, normalized=True), SupportSet(d, tuple(range(k)))
 
 
-@dataclass(frozen=True)
-class CorrelatedGroup:
-    """One duplication group: absolute column indices plus a perturbation level.
-
-    ``rho = 0`` repeats the group representative exactly; ``rho > 0`` adds a
-    relative perturbation of that size to each member before re-normalizing.
-    """
-
-    members: tuple[int, ...]
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if len(self.members) == 0:
-            raise ValueError("empty group")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
-        object.__setattr__(self, "members", tuple(int(i) for i in self.members))
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Partition of the off-support columns into correlated groups."""
-
-    groups: tuple[CorrelatedGroup, ...]
-
-    def __post_init__(self):
-        if len(self.groups) == 0:
-            raise ValueError("block spec needs at least one group")
-
-    @classmethod
-    def split(cls, S: SupportSet, n_groups: int, rho: float = 0.0) -> "BlockSpec":
-        """Deal the off-support columns round-robin into ``n_groups`` groups;
-        one group with rho=0 duplicates a single column across the block."""
-        comp = S.complement().indices
-        if not 1 <= n_groups <= len(comp):
-            raise ValueError(f"cannot split {len(comp)} columns into {n_groups} groups")
-        groups = [comp[g::n_groups] for g in range(n_groups)]
-        return cls(tuple(CorrelatedGroup(g, rho) for g in groups))
-
-
-def correlated_block_design(n: int, d: int, S: SupportSet, block_spec: BlockSpec,
+def correlated_block_design(n: int, d: int, S: SupportSet, groups: int, rho: float,
                             seed: SeedSpec) -> DesignMatrix:
     """Gaussian support columns plus adversarially correlated off-support groups.
 
-    Each group's members are copies of one random representative direction,
+    The off-support columns are dealt round-robin into ``groups`` groups, and
+    each group's members are copies of one random representative direction,
     exact for rho=0 or perturbed by a relative amount rho and re-normalized.
+    One group with rho=0 duplicates a single column across the block.
     """
     if S.dim != d:
         raise ValueError(f"support dim {S.dim} does not match d={d}")
     if S.size == 0:
         raise ValueError("support must be non-empty")
     comp = S.complement().indices
-    covered: list[int] = []
-    for g in block_spec.groups:
-        covered.extend(g.members)
-    if sorted(covered) != list(comp) or len(covered) != len(set(covered)):
-        raise ValueError("block spec must partition the off-support columns exactly")
+    if not 1 <= groups <= len(comp):
+        raise ValueError(f"groups must lie in [1, d - k] = [1, {len(comp)}], got {groups}")
+    if not rho >= 0:
+        raise ValueError(f"rho must be non-negative, got {rho}")
 
     root_n = math.sqrt(n)
     out = np.zeros((n, d), order="F")
     rng = seeded_stream(seed.substream(0))
     out[:, S.array()] = _rescale_to_sqrt_n(rng.standard_normal((n, S.size)), n)
-    for gi, group in enumerate(block_spec.groups):
+    for gi in range(groups):
         grng = seeded_stream(seed.substream(1, gi))
         rep = grng.standard_normal(n)
         rep /= np.linalg.norm(rep)
-        if group.rho == 0.0:
-            col = root_n * rep
-            for j in group.members:
-                out[:, j] = col
+        if rho == 0.0:
+            out[:, comp[gi::groups]] = (root_n * rep)[:, None]
         else:
-            for j in sorted(group.members):
+            for j in comp[gi::groups]:
                 w = grng.standard_normal(n)
                 w /= np.linalg.norm(w)
-                direction = rep + group.rho * w
+                direction = rep + rho * w
                 out[:, j] = root_n * direction / np.linalg.norm(direction)
     return DesignMatrix(out, normalized=True)

@@ -47,7 +47,6 @@ from .core import (
 )
 from .designs import (
     ROTATIONS,
-    BlockSpec,
     correlated_block_design,
     counterexample_design,
     partially_rotate,
@@ -57,83 +56,80 @@ from .designs import (
 from .lasso import lasso_constrained, prediction_error, synth_response
 from .sparsify import maurey_sparsify
 
-EXPERIMENT_NAMES = (
-    "thm-main", "lasso-rate", "rno-whp", "rip-rno",
-    "counterexample", "sparsify-bound", "rot-check",
-)
+REQUIRED = object()  # marks a grid key that has no default
+TRIALS = object()    # marks a grid key whose default is the spec's trial count
 
-# experiments whose rows are deterministic theorem checks: every row must pass
-HARD_EXPERIMENTS = frozenset({"rip-rno", "sparsify-bound", "counterexample"})
-
-# how each per-row pass flag is decided; echoed into the summary so a reader
-# can recompute every flag from the row's own columns
-PASS_RULES = {
-    "thm-main": "ratio >= 0.9 * 0.99 (theorem target with 1% solver slack); "
-                "the suite-level 48-of-50 threshold is a pragmatic choice for "
-                "a with-high-probability statement with unspecified constants",
-    "lasso-rate": "pred_error <= 30 * theory_bound; acceptance judges medians per grid point",
-    "rno-whp": "rno_eps <= 2 * epsilon (desk-scale target in the epsilon column)",
-    "rip-rno": "rno_eps_max <= rno_bound + 1e-9 (deterministic implication, zero tolerance)",
-    "counterexample": "|gamma_prime_xs - 1| <= 1e-6 and gamma_prime_x <= witness_ratio + 1e-6",
-    "sparsify-bound": "error <= bound (the sampler retries until the bound holds)",
-    "rot-check": "exceedances == 0 when epsilon >= 1, else exceedances <= max_exceed",
-}
-
-# per-experiment grid-coordinate and measurement columns; the serialized order
-# is params, trial, metrics, pass.  Append-only: new columns go at the end of
-# their section and never reorder existing ones.
-PARAM_COLS = {
-    "thm-main": ("n", "d", "k", "rho", "design"),
-    "lasso-rate": ("n", "d", "k", "sigma"),
-    "rno-whp": ("n", "d", "k", "s", "rotation", "base", "epsilon"),
-    "rip-rno": ("n", "d", "s"),
-    "counterexample": ("n", "d", "k"),
-    "sparsify-bound": ("n", "d", "s"),
-    "rot-check": ("n", "d", "k", "rotation", "epsilon", "max_exceed"),
-}
-METRIC_COLS = {
-    "thm-main": ("gamma_xs", "gamma_x", "ratio"),
-    "lasso-rate": ("gamma_hat", "theory_bound", "pred_error", "pred_error_gauss"),
-    "rno-whp": ("rno_eps", "gamma_xs", "gamma_x", "ratio", "c_min",
-                "holds_c2", "holds_c4", "holds_c8"),
-    "rip-rno": ("rip_delta", "rno_bound", "rno_eps_max"),
-    "counterexample": ("gamma_prime_xs", "witness_ratio", "gamma_prime_x", "gamma_x"),
-    "sparsify-bound": ("l1_beta", "bound", "error", "attempts"),
-    "rot-check": ("mc_trials", "exceedances", "rate"),
-}
-# grid keys a trial reads besides its parameter columns
-GRID_KNOBS = {
-    "thm-main": ("rho", "groups", "design"),
-    "lasso-rate": ("rho", "groups", "design"),
-    "rno-whp": ("rho", "groups", "design"),
-    "rot-check": ("mc_trials",),
-}
-# grid keys a trial cannot run without
-REQUIRED_KEYS = {
-    "thm-main": ("n", "d", "k"),
-    "lasso-rate": ("n", "d", "k"),
-    "rno-whp": ("n", "d", "k", "s"),
-    "rip-rno": ("n", "d", "s"),
-    "counterexample": ("n", "d", "k"),
-    "sparsify-bound": ("n", "d", "s"),
-    "rot-check": ("n", "d", "k", "epsilon"),
-}
-
-# the values a string knob accepts; rno-whp also accepts rotation "none"
-KNOB_VALUES = {
+# every grid key an experiment may read: an integer or a finite number with
+# its least value, or the strings it accepts
+GRID_KEYS = {
+    "n": (int, 1), "d": (int, 1), "k": (int, 1), "s": (int, 1), "groups": (int, 1),
+    "mc_trials": (int, 1), "max_exceed": (int, 0),
+    "rho": (float, 0.0), "sigma": (float, 0.0), "epsilon": (float, 0.0),
     "design": ("correlated", "semirandom"),
     "base": ("correlated", "cross-dup"),
-    "rotation": tuple(ROTATIONS),
+    "rotation": (*ROTATIONS, "none"),
 }
 
 
-def columns_for(name: str) -> tuple[str, ...]:
-    return ("grid_index",) + PARAM_COLS[name] + ("trial",) + METRIC_COLS[name] + ("pass",)
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _key_problem(key: str, v) -> str | None:
+    """Why ``v`` is not a value of grid key ``key``, or None when it is one."""
+    rule = GRID_KEYS[key]
+    if rule[0] is int:
+        if not _is_int(v):
+            return f"{key} must be an integer, got {v!r}"
+    elif rule[0] is float:
+        try:
+            finite = not isinstance(v, bool) and math.isfinite(v)
+        except (TypeError, OverflowError):  # not a number, or an int past the float range
+            finite = False
+        if not finite:
+            return f"{key} must be a finite number, got {v!r}"
+    else:
+        return None if v in rule else f"{key} must be one of {list(rule)}, got {v!r}"
+    return None if v >= rule[1] else f"{key} must lie in [{rule[1]}, inf), got {v!r}"
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything that defines one experiment.
+
+    ``trial(point, seed)`` runs one trial at a grid point whose every key of
+    ``keys`` is filled in, and returns its metrics and its pass flag.  The CSV
+    columns are ``params``, echoed from the filled point, then ``metrics``.
+    Both are append-only: new columns go at the end of their section and
+    never reorder existing ones.  ``keys`` maps every grid key the trial reads
+    to its default, ``REQUIRED`` or ``TRIALS``.  ``limits`` holds what a
+    filled point must meet beyond each key's range in ``GRID_KEYS``, mostly
+    across keys, each condition with the problem it names when it fails.  ``pass_rule`` is echoed into the summary, so a
+    reader can recompute every flag from the row's own columns.
+    """
+
+    trial: object
+    params: tuple[str, ...]
+    metrics: tuple[str, ...]
+    keys: dict
+    pass_rule: str
+    default: dict                 # the default config: "grid" and "trials"
+    hard: bool = False            # a deterministic theorem check: every row must pass
+    row_per_point: bool = False   # the trials run inside one row per grid point
+    limits: tuple = ()
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return ("grid_index",) + self.params + ("trial",) + self.metrics + ("pass",)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named experiment, its parameter grid, trial count, and master seed."""
+    """A named experiment, its parameter grid, trial count, and master seed.
+
+    Every grid point is checked against the experiment's record when the spec
+    is built, so a point its trial cannot run never starts.
+    """
 
     name: str
     grid: tuple[dict, ...]
@@ -142,52 +138,47 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
-            raise ValueError(f"unknown experiment {self.name!r}; choose from {EXPERIMENT_NAMES}")
+        if self.name not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.name!r}; choose from {tuple(EXPERIMENTS)}")
+        for field in ("trials", "master_seed"):
+            if not _is_int(getattr(self, field)):
+                raise ValueError(f"{field!r} must be an integer, got {getattr(self, field)!r}")
         if self.trials < 1:
-            raise ValueError("trials must be positive")
+            raise ValueError(f"'trials' must be at least 1, got {self.trials}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"'master_seed' must lie in [0, 2**64), got {self.master_seed}")
         object.__setattr__(self, "grid", tuple(dict(g) for g in self.grid))
         if not self.grid:
             raise ValueError("grid must contain at least one point")
-        allowed = sorted(set(PARAM_COLS[self.name]) | set(GRID_KNOBS.get(self.name, ())))
-        for g in self.grid:
-            unknown = sorted(set(g) - set(allowed))
+        exp = EXPERIMENTS[self.name]
+        for gi, g in enumerate(self.grid):
+            unknown = sorted(set(g) - set(exp.keys))
             if unknown:
                 raise ValueError(f"unknown grid key(s) {unknown} for {self.name}; "
-                                 f"allowed keys: {allowed}")
-            missing = [key for key in REQUIRED_KEYS[self.name] if key not in g]
+                                 f"allowed keys: {sorted(exp.keys)}")
+            missing = [key for key, v in exp.keys.items() if v is REQUIRED and key not in g]
             if missing:
                 raise ValueError(f"grid point {g} lacks required key(s) {missing}")
-            n, d, k = g["n"], g["d"], g.get("k", 1)
-            if min(n, d, k) < 1 or k > d:
-                raise ValueError(f"inconsistent grid point {g}")
-            if not g.get("sigma", 0.0) >= 0:
-                raise ValueError("sigma must be non-negative, not NaN")
-            for key, values in KNOB_VALUES.items():
-                if key == "rotation" and self.name == "rno-whp":
-                    values += ("none",)
-                if key in g and g[key] not in values:
-                    raise ValueError(f"{key} must be one of {list(values)} in grid point {g}")
-            # the ranges BlockSpec.split, rno_constant, the counterexample
-            # design and the RIP/RNO enumeration accept
-            if ("groups" in GRID_KNOBS.get(self.name, ())
-                    and not 1 <= g.get("groups", 1) <= d - k):
-                raise ValueError(f"groups must lie in [1, d - k] in grid point {g}")
-            if self.name == "rno-whp" and not 1 <= g["s"] <= min(k, d - k):
-                raise ValueError(f"s must lie in [1, min(k, d - k)] in grid point {g}")
-            if self.name == "rip-rno" and not 1 <= g["s"] <= d // 2:
-                raise ValueError(f"s must lie in [1, d / 2] in grid point {g}")
-            if self.name == "counterexample" and min(n, d) < k + 2:
-                raise ValueError(f"n and d must be at least k + 2 in grid point {g}")
+            for key, v in g.items():
+                problem = None if v is None and exp.keys[key] is None else _key_problem(key, v)
+                if problem:
+                    raise ValueError(f"{problem} in grid point {g}")
+            point = self.point(gi)
+            for holds, problem in exp.limits:
+                if not holds(point):
+                    raise ValueError(f"{problem} in grid point {g}")
+
+    def point(self, gi: int) -> dict:
+        """Grid point ``gi`` with its experiment's defaults filled in and the
+        values of float keys as floats."""
+        keys = EXPERIMENTS[self.name].keys
+        point = {key: self.trials if v is TRIALS else v for key, v in keys.items()}
+        point.update(self.grid[gi])
+        return {key: float(v) if GRID_KEYS[key][0] is float else v for key, v in point.items()}
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "grid": list(self.grid), "trials": self.trials,
                 "master_seed": self.master_seed, "out_dir": self.out_dir}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentSpec":
-        return cls(name=d["name"], grid=tuple(d["grid"]), trials=int(d["trials"]),
-                   master_seed=int(d["master_seed"]), out_dir=d.get("out_dir"))
 
 
 @dataclass
@@ -199,24 +190,16 @@ class ExperimentRow:
     wall_time: float = 0.0
 
 
-def _trial_seed(spec: ExperimentSpec, gi: int, trial: int) -> SeedSpec:
-    root = SeedSpec(spec.master_seed, stream_id_for_label(f"rotlasso.exp.{spec.name}"))
-    return root.substream(gi, trial)
-
-
 def _adversarial_design(n, d, S, g, seed):
     """Model-style design: planted Gaussian support, correlated off-support block."""
-    blocks = BlockSpec.split(S, int(g.get("groups", 1)), float(g.get("rho", 0.0)))
-    if g.get("design", "correlated") == "semirandom":
+    if g["design"] == "semirandom":
         base = rank_one_design(n, d, seed.substream(7))
         return semirandom_gaussian_design(base, S, seed.substream(8))
-    return correlated_block_design(n, d, S, blocks, seed)
+    return correlated_block_design(n, d, S, g["groups"], g["rho"], seed)
 
 
-def _trial_thm_main(spec, gi, trial):
-    g = spec.grid[gi]
+def _trial_thm_main(g, seed):
     n, d, k = g["n"], g["d"], g["k"]
-    seed = _trial_seed(spec, gi, trial)
     S = SupportSet(d, tuple(range(k)))
     X = _adversarial_design(n, d, S, g, seed.substream(0))
     cert_x = re_constant(X, ConeSpec(S), S, mode="gamma", seed=seed.substream(1))
@@ -228,15 +211,11 @@ def _trial_thm_main(spec, gi, trial):
         passed = ratio >= 0.9 * 0.99
     else:
         passed = None
-    return {"n": n, "d": d, "k": k, "rho": float(g.get("rho", 0.0)),
-            "design": g.get("design", "correlated"),
-            "gamma_xs": cert_xs.value, "gamma_x": cert_x.value, "ratio": ratio}, passed
+    return {"gamma_xs": cert_xs.value, "gamma_x": cert_x.value, "ratio": ratio}, passed
 
 
-def _trial_lasso_rate(spec, gi, trial):
-    g = spec.grid[gi]
-    n, d, k, sigma = g["n"], g["d"], g["k"], float(g.get("sigma", 1.0))
-    seed = _trial_seed(spec, gi, trial)
+def _trial_lasso_rate(g, seed):
+    n, d, k, sigma = g["n"], g["d"], g["k"], g["sigma"]
     S = SupportSet(d, tuple(range(k)))
     X = _adversarial_design(n, d, S, g, seed.substream(0))
     rng = seeded_stream(seed.substream(1))
@@ -257,27 +236,22 @@ def _trial_lasso_rate(spec, gi, trial):
     sol_g = lasso_constrained(inst_g, radius)
     pe_g = prediction_error(Xg, sol_g.beta_hat, beta)
     passed = (pe <= 30.0 * bound) if (sol.converged and sol_g.converged) else None
-    return {"n": n, "d": d, "k": k, "sigma": sigma, "gamma_hat": gamma_hat,
-            "theory_bound": bound, "pred_error": pe, "pred_error_gauss": pe_g}, passed
+    return {"gamma_hat": gamma_hat, "theory_bound": bound, "pred_error": pe,
+            "pred_error_gauss": pe_g}, passed
 
 
-def _trial_rno_whp(spec, gi, trial):
-    g = spec.grid[gi]
+def _trial_rno_whp(g, seed):
     n, d, k, s = g["n"], g["d"], g["k"], g["s"]
-    rotation = g.get("rotation", "haar")
-    base_kind = g.get("base", "correlated")
-    eps_target = float(g.get("epsilon", 0.25))
-    seed = _trial_seed(spec, gi, trial)
     S = SupportSet(d, tuple(range(k)))
-    if base_kind == "cross-dup":
+    if g["base"] == "cross-dup":
         rng = seeded_stream(seed.substream(0))
         E = rng.standard_normal((n, d))
         E[:, k] = E[:, 0]
         X = normalize_columns(DesignMatrix(E))
     else:
         X = _adversarial_design(n, d, S, g, seed.substream(0))
-    if rotation != "none":
-        X = partially_rotate(X, S, ROTATIONS[rotation](), seed.substream(1))
+    if g["rotation"] != "none":
+        X = partially_rotate(X, S, ROTATIONS[g["rotation"]](), seed.substream(1))
     eps = rno_constant(X, S, s).value
     cert_x = re_constant(X, ConeSpec(S), S, mode="gamma", seed=seed.substream(2))
     XS = restrict_columns(X, S)
@@ -291,16 +265,13 @@ def _trial_rno_whp(spec, gi, trial):
     holds = {f"holds_c{c}":
              cert_x.value >= rno_to_re_lower_bound(eps, s, k, cert_xs.value, C=c)
              for c in (2, 4, 8)}
-    passed = eps <= 2.0 * eps_target
-    return {"n": n, "d": d, "k": k, "s": s, "rotation": rotation, "base": base_kind,
-            "epsilon": eps_target, "rno_eps": eps, "gamma_xs": cert_xs.value,
-            "gamma_x": cert_x.value, "ratio": ratio, "c_min": c_min, **holds}, passed
+    passed = eps <= 2.0 * g["epsilon"]
+    return {"rno_eps": eps, "gamma_xs": cert_xs.value, "gamma_x": cert_x.value,
+            "ratio": ratio, "c_min": c_min, **holds}, passed
 
 
-def _trial_rip_rno(spec, gi, trial):
-    g = spec.grid[gi]
+def _trial_rip_rno(g, seed):
     n, d, s = g["n"], g["d"], g["s"]
-    seed = _trial_seed(spec, gi, trial)
     rng = seeded_stream(seed.substream(0))
     X = normalize_columns(DesignMatrix(rng.standard_normal((n, d))))
     Xu = DesignMatrix(X.entries / math.sqrt(n))
@@ -308,8 +279,7 @@ def _trial_rip_rno(spec, gi, trial):
     bound = rip_to_rno_bound(delta) if delta < 1.0 else math.inf
     eps_max, _, _ = max_rno_over_disjoint_pairs(X, s)
     passed = eps_max <= bound + 1e-9
-    return {"n": n, "d": d, "s": s, "rip_delta": delta, "rno_bound": bound,
-            "rno_eps_max": eps_max}, passed
+    return {"rip_delta": delta, "rno_bound": bound, "rno_eps_max": eps_max}, passed
 
 
 def counterexample_witness(d: int, k: int) -> SparseVector:
@@ -318,10 +288,8 @@ def counterexample_witness(d: int, k: int) -> SparseVector:
     return SparseVector(d, tuple(terms))
 
 
-def _trial_counterexample(spec, gi, trial):
-    g = spec.grid[gi]
+def _trial_counterexample(g, seed):
     n, d, k = g["n"], g["d"], g["k"]
-    seed = _trial_seed(spec, gi, trial)
     X, S = counterexample_design(n, d, k, seed.substream(0))
     XS = restrict_columns(X, S)
     Sf = SupportSet(k, tuple(range(k)))
@@ -330,36 +298,26 @@ def _trial_counterexample(spec, gi, trial):
     gp_x = re_constant(X, ConeSpec(S), S, mode="gamma_prime", seed=seed.substream(2))
     g_x = re_constant(X, ConeSpec(S), S, mode="gamma", seed=seed.substream(3))
     passed = abs(gp_xs.value - 1.0) <= 1e-6 and gp_x.value <= witness_ratio + 1e-6
-    return {"n": n, "d": d, "k": k, "gamma_prime_xs": gp_xs.value,
-            "witness_ratio": witness_ratio, "gamma_prime_x": gp_x.value,
-            "gamma_x": g_x.value}, passed
+    return {"gamma_prime_xs": gp_xs.value, "witness_ratio": witness_ratio,
+            "gamma_prime_x": gp_x.value, "gamma_x": g_x.value}, passed
 
 
-def _trial_sparsify_bound(spec, gi, trial):
-    g = spec.grid[gi]
-    n, d, s = g["n"], g["d"], g["s"]
-    seed = _trial_seed(spec, gi, trial)
+def _trial_sparsify_bound(g, seed):
     rng = seeded_stream(seed.substream(0))
-    X = normalize_columns(DesignMatrix(rng.standard_normal((n, d))))
-    beta = rng.standard_normal(d)
-    res = maurey_sparsify(X, beta, s, seed.substream(1))
-    return {"n": n, "d": d, "s": s, "l1_beta": float(np.abs(beta).sum()),
-            "bound": res.bound, "error": res.error,
+    X = normalize_columns(DesignMatrix(rng.standard_normal((g["n"], g["d"]))))
+    beta = rng.standard_normal(g["d"])
+    res = maurey_sparsify(X, beta, g["s"], seed.substream(1))
+    return {"l1_beta": float(np.abs(beta).sum()), "bound": res.bound, "error": res.error,
             "attempts": res.attempts}, res.error <= res.bound
 
 
-def _trial_rot_check(spec, gi, trial):
-    g = spec.grid[gi]
+def _trial_rot_check(g, seed):
     n, d, k = g["n"], g["d"], g["k"]
-    rotation = g.get("rotation", "haar")
-    epsilon = float(g["epsilon"])
-    max_exceed = g.get("max_exceed")
-    mc_trials = int(g.get("mc_trials", spec.trials))
-    seed = _trial_seed(spec, gi, trial)
+    epsilon, mc_trials = g["epsilon"], g["mc_trials"]
     rng = seeded_stream(seed.substream(0))
     X = normalize_columns(DesignMatrix(rng.standard_normal((n, d))))
     S = SupportSet(d, tuple(range(k)))
-    kind = ROTATIONS[rotation]()
+    kind = ROTATIONS[g["rotation"]]()
 
     def regen(sd):
         return partially_rotate(X, S, kind, sd)
@@ -368,39 +326,120 @@ def _trial_rot_check(spec, gi, trial):
                                            epsilon, mc_trials, seed.substream(1))
     if epsilon >= 1.0:
         passed = exceed == 0
-    elif max_exceed is not None:
-        passed = exceed <= int(max_exceed)
+    elif g["max_exceed"] is not None:
+        passed = exceed <= g["max_exceed"]
     else:
         passed = None
-    return {"n": n, "d": d, "k": k, "rotation": rotation, "epsilon": epsilon,
-            "max_exceed": max_exceed, "mc_trials": mc_trials,
-            "exceedances": exceed, "rate": exceed / mc_trials}, passed
+    return {"mc_trials": mc_trials, "exceedances": exceed, "rate": exceed / mc_trials}, passed
 
 
-_TRIAL_FUNCS = {
-    "thm-main": _trial_thm_main,
-    "lasso-rate": _trial_lasso_rate,
-    "rno-whp": _trial_rno_whp,
-    "rip-rno": _trial_rip_rno,
-    "counterexample": _trial_counterexample,
-    "sparsify-bound": _trial_sparsify_bound,
-    "rot-check": _trial_rot_check,
+_MODEL_KEYS = {"rho": 0.0, "groups": 1, "design": "correlated"}  # read by _adversarial_design
+_GROUPS_FIT = (lambda g: g["groups"] <= g["d"] - g["k"], "groups must lie in [1, d - k]")
+
+EXPERIMENTS = {
+    "thm-main": Experiment(
+        _trial_thm_main,
+        params=("n", "d", "k", "rho", "design"),
+        metrics=("gamma_xs", "gamma_x", "ratio"),
+        keys={"n": REQUIRED, "d": REQUIRED, "k": REQUIRED, **_MODEL_KEYS},
+        pass_rule="ratio >= 0.9 * 0.99 (theorem target with 1% solver slack); "
+                  "the suite-level 48-of-50 threshold is a pragmatic choice for "
+                  "a with-high-probability statement with unspecified constants",
+        default={"grid": [{"n": 200, "d": 64, "k": 3}], "trials": 50},
+        limits=(_GROUPS_FIT,),
+    ),
+    "lasso-rate": Experiment(
+        _trial_lasso_rate,
+        params=("n", "d", "k", "sigma"),
+        metrics=("gamma_hat", "theory_bound", "pred_error", "pred_error_gauss"),
+        keys={"n": REQUIRED, "d": REQUIRED, "k": REQUIRED, "sigma": 1.0, **_MODEL_KEYS},
+        pass_rule="pred_error <= 30 * theory_bound; acceptance judges medians per grid point",
+        default={"grid": [{"n": n, "d": 128, "k": k, "sigma": 1.0, "groups": 32}
+                          for k in (2, 4, 8) for n in (100, 200, 400)], "trials": 20},
+        limits=(_GROUPS_FIT,),
+    ),
+    "rno-whp": Experiment(
+        _trial_rno_whp,
+        params=("n", "d", "k", "s", "rotation", "base", "epsilon"),
+        metrics=("rno_eps", "gamma_xs", "gamma_x", "ratio", "c_min",
+                 "holds_c2", "holds_c4", "holds_c8"),
+        keys={"n": REQUIRED, "d": REQUIRED, "k": REQUIRED, "s": REQUIRED, "rotation": "haar",
+              "base": "correlated", "epsilon": 0.25, **_MODEL_KEYS},
+        pass_rule="rno_eps <= 2 * epsilon (desk-scale target in the epsilon column)",
+        default={"grid": [{"n": 200, "d": 20, "k": 5, "s": 2,
+                           "rotation": "haar", "epsilon": 0.25}], "trials": 100},
+        limits=(_GROUPS_FIT, (lambda g: g["s"] <= min(g["k"], g["d"] - g["k"]),
+                              "s must lie in [1, min(k, d - k)]")),
+    ),
+    "rip-rno": Experiment(
+        _trial_rip_rno,
+        params=("n", "d", "s"),
+        metrics=("rip_delta", "rno_bound", "rno_eps_max"),
+        keys={"n": REQUIRED, "d": REQUIRED, "s": REQUIRED},
+        pass_rule="rno_eps_max <= rno_bound + 1e-9 (deterministic implication, zero tolerance)",
+        default={"grid": [{"n": 60, "d": 12, "s": 2}], "trials": 100},
+        hard=True,
+        limits=((lambda g: g["s"] <= g["d"] // 2, "s must lie in [1, d / 2]"),),
+    ),
+    "counterexample": Experiment(
+        _trial_counterexample,
+        params=("n", "d", "k"),
+        metrics=("gamma_prime_xs", "witness_ratio", "gamma_prime_x", "gamma_x"),
+        keys={"n": REQUIRED, "d": REQUIRED, "k": REQUIRED},
+        pass_rule="|gamma_prime_xs - 1| <= 1e-6 and gamma_prime_x <= witness_ratio + 1e-6",
+        default={"grid": [{"k": 4, "n": 100, "d": 12},
+                          {"k": 10, "n": 100, "d": 18},
+                          {"k": 20, "n": 100, "d": 28}], "trials": 1},
+        hard=True,
+        limits=((lambda g: min(g["n"], g["d"]) >= g["k"] + 2, "n and d must be at least k + 2"),),
+    ),
+    "sparsify-bound": Experiment(
+        _trial_sparsify_bound,
+        params=("n", "d", "s"),
+        metrics=("l1_beta", "bound", "error", "attempts"),
+        keys={"n": REQUIRED, "d": REQUIRED, "s": REQUIRED},
+        pass_rule="error <= bound (the sampler retries until the bound holds)",
+        default={"grid": [{"n": 30, "d": 50, "s": 25}], "trials": 1000},
+        hard=True,
+    ),
+    "rot-check": Experiment(
+        _trial_rot_check,
+        params=("n", "d", "k", "rotation", "epsilon", "max_exceed"),
+        metrics=("mc_trials", "exceedances", "rate"),
+        keys={"n": REQUIRED, "d": REQUIRED, "k": REQUIRED, "rotation": "haar",
+              "epsilon": REQUIRED, "max_exceed": None, "mc_trials": TRIALS},
+        pass_rule="exceedances == 0 when epsilon >= 1, else exceedances <= max_exceed",
+        default={"grid": [
+            {"n": 100, "d": 10, "k": 3, "rotation": "haar", "epsilon": 0.5, "max_exceed": 2},
+            {"n": 100, "d": 10, "k": 3, "rotation": "haar", "epsilon": 0.2},
+            # the n=400 point only feeds the rate comparison against n=100, so a
+            # smaller Monte Carlo budget keeps the expensive 400x400 rotations in check
+            {"n": 400, "d": 10, "k": 3, "rotation": "haar", "epsilon": 0.2, "mc_trials": 2500},
+        ], "trials": 10_000},
+        row_per_point=True,
+        limits=((lambda g: g["k"] < g["d"], "k must be below d"),
+                (lambda g: g["rotation"] != "none",
+                 f"rotation must be one of {list(ROTATIONS)}")),
+    ),
 }
 
 
 def _tasks(spec: ExperimentSpec):
-    # rot-check aggregates its Monte Carlo trials inside one row per grid point
-    per_point = 1 if spec.name == "rot-check" else spec.trials
+    per_point = 1 if EXPERIMENTS[spec.name].row_per_point else spec.trials
     return [(spec, gi, t) for gi in range(len(spec.grid)) for t in range(per_point)]
 
 
 def _run_task(args):
+    """One trial: the filled grid point and the trial's own substream go in,
+    the point's param columns are echoed beside the measured metrics."""
     spec, gi, trial = args
     t0 = time.perf_counter()
-    values, passed = _TRIAL_FUNCS[spec.name](spec, gi, trial)
-    values["trial"] = trial
-    return ExperimentRow(gi, trial, values, passed,
-                         wall_time=time.perf_counter() - t0)
+    exp = EXPERIMENTS[spec.name]
+    point = spec.point(gi)
+    root = SeedSpec(spec.master_seed, stream_id_for_label(f"rotlasso.exp.{spec.name}"))
+    metrics, passed = exp.trial(point, root.substream(gi, trial))
+    values = {**{c: point[c] for c in exp.params}, "trial": trial, **metrics}
+    return ExperimentRow(gi, trial, values, passed, wall_time=time.perf_counter() - t0)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -488,7 +527,8 @@ def emit_results(spec: ExperimentSpec, rows: list[ExperimentRow], out_dir) -> di
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cols = columns_for(spec.name)
+    exp = EXPERIMENTS[spec.name]
+    cols = exp.columns
     csv_path = out / f"{spec.name}.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -501,7 +541,7 @@ def emit_results(spec: ExperimentSpec, rows: list[ExperimentRow], out_dir) -> di
     for gi, g in enumerate(spec.grid):
         sub = [r for r in rows if r.grid_index == gi]
         medians = {}
-        for c in METRIC_COLS[spec.name]:
+        for c in exp.metrics:
             vals = [float(r.values[c]) for r in sub
                     if isinstance(r.values.get(c), (int, float, np.integer, np.floating))
                     and math.isfinite(float(r.values[c]))]
@@ -520,9 +560,9 @@ def emit_results(spec: ExperimentSpec, rows: list[ExperimentRow], out_dir) -> di
         "version": version_string(),
         "master_seed": spec.master_seed,
         "spec": spec.to_json_dict(),
-        "pass_rule": PASS_RULES[spec.name],
+        "pass_rule": exp.pass_rule,
         "grid_points": grid_points,
-        "hard": spec.name in HARD_EXPERIMENTS,
+        "hard": exp.hard,
         "all_rows_pass": bool(decided) and all(decided) and not any(
             r.passed is None for r in rows),
     }
@@ -540,33 +580,19 @@ def emit_results(spec: ExperimentSpec, rows: list[ExperimentRow], out_dir) -> di
 
 def hard_experiments_pass(spec: ExperimentSpec, rows: list[ExperimentRow]) -> bool:
     """Exit-code contract: hard-inequality experiments require every row to pass."""
-    if spec.name not in HARD_EXPERIMENTS:
+    if not EXPERIMENTS[spec.name].hard:
         return True
     return all(r.passed is True for r in rows)
 
 
-DEFAULT_CONFIGS = {
-    "thm-main": {"grid": [{"n": 200, "d": 64, "k": 3}], "trials": 50},
-    "lasso-rate": {"grid": [{"n": n, "d": 128, "k": k, "sigma": 1.0, "groups": 32}
-                            for k in (2, 4, 8) for n in (100, 200, 400)], "trials": 20},
-    "rno-whp": {"grid": [{"n": 200, "d": 20, "k": 5, "s": 2,
-                          "rotation": "haar", "epsilon": 0.25}], "trials": 100},
-    "rip-rno": {"grid": [{"n": 60, "d": 12, "s": 2}], "trials": 100},
-    "counterexample": {"grid": [{"k": 4, "n": 100, "d": 12},
-                                {"k": 10, "n": 100, "d": 18},
-                                {"k": 20, "n": 100, "d": 28}], "trials": 1},
-    "sparsify-bound": {"grid": [{"n": 30, "d": 50, "s": 25}], "trials": 1000},
-    "rot-check": {"grid": [
-        {"n": 100, "d": 10, "k": 3, "rotation": "haar", "epsilon": 0.5, "max_exceed": 2},
-        {"n": 100, "d": 10, "k": 3, "rotation": "haar", "epsilon": 0.2},
-        # the n=400 point only feeds the rate comparison against n=100, so a
-        # smaller Monte Carlo budget keeps the expensive 400x400 rotations in check
-        {"n": 400, "d": 10, "k": 3, "rotation": "haar", "epsilon": 0.2, "mc_trials": 2500},
-    ], "trials": 10_000},
-}
-
-
-def default_spec(name: str, master_seed: int = 20250811, out_dir=None) -> ExperimentSpec:
-    cfg = DEFAULT_CONFIGS[name]
+def default_spec(name: str, config: dict | None = None, master_seed: int | None = None,
+                 out_dir=None) -> ExperimentSpec:
+    """The spec of experiment ``name`` from ``config`` ("grid", "trials" and
+    optionally "master_seed"), by default the experiment's own.  A
+    ``master_seed`` given here overrides the config's; without either the
+    seed is 20250811."""
+    cfg = EXPERIMENTS[name].default if config is None else config
+    if master_seed is None:
+        master_seed = cfg.get("master_seed", 20250811)
     return ExperimentSpec(name=name, grid=tuple(cfg["grid"]), trials=cfg["trials"],
                           master_seed=master_seed, out_dir=out_dir)

@@ -12,7 +12,6 @@ from scipy.special import betainc
 from scipy.stats import binom
 
 from rotlasso import (
-    BlockSpec,
     DesignMatrix,
     EnumerationTooLargeError,
     InvalidSupportError,
@@ -440,7 +439,7 @@ class TestClosedForm:
         # thm-main's design with 8 perturbed off-support groups: the free
         # minimiser spends more l1 mass off the support than the cone allows
         S = SupportSet(64, (0, 1, 2))
-        X = correlated_block_design(200, 64, S, BlockSpec.split(S, 8, 0.05), SeedSpec(5))
+        X = correlated_block_design(200, 64, S, 8, 0.05, SeedSpec(5))
         z = certificates._free_minimiser(X, S, "gamma")
         assert np.abs(z[3:]).sum() > np.abs(z[:3]).sum()
         cert = re_constant(X, ConeSpec(S), S, mode="gamma")

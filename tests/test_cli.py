@@ -339,6 +339,29 @@ class TestExp:
         assert "bad experiment config" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, config, flags, named", [
+        ("thm-main", {"grid": [{"n": 30.0, "d": 8, "k": 2}], "trials": 1}, [], "n must be"),
+        ("thm-main", {"grid": [{"n": 50, "d": 8, "k": 2, "groups": 2.7}], "trials": 1}, [],
+         "groups must be"),
+        ("rot-check", {"grid": [{"n": 50, "d": 8, "k": 3, "epsilon": float("nan")}],
+                       "trials": 5}, [], "epsilon must be"),
+        ("rno-whp", {"grid": [{"n": 50, "d": 8, "k": 3, "s": 1, "epsilon": -3}], "trials": 1},
+         [], "epsilon must lie"),
+        ("sparsify-bound", {"grid": [{"n": 20, "d": 30, "s": 10}], "trials": 1},
+         ["--seed", "-1"], "'master_seed' must lie"),
+        ("sparsify-bound", {"grid": [{"n": 20, "d": 30, "s": 10}], "trials": 1,
+                            "master_seed": 2**64}, [], "'master_seed' must lie"),
+    ], ids=["n-float", "groups-fraction", "epsilon-nan", "epsilon-negative", "seed-negative",
+            "seed-above-64-bits"])
+    def test_malformed_value_rejected(self, name, config, flags, named, tmp_path, capsys):
+        # a value of the wrong type or range is named before any trial runs
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["exp", name, "--config", json.dumps(config), "--out-dir", tmp_path, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad experiment config" in err and named in err
+        assert not any(tmp_path.iterdir())
+
     def test_config_with_all_rejected(self, tmp_path, capsys):
         cfg = json.dumps({"grid": [{"n": 20, "d": 30, "s": 10}], "trials": 1})
         with pytest.raises(SystemExit) as exc:

@@ -5,8 +5,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rotlasso import (
-    BlockSpec,
-    CorrelatedGroup,
     DesignMatrix,
     RotationKind,
     SeedSpec,
@@ -262,30 +260,29 @@ class TestCounterexampleDesign:
 class TestCorrelatedBlockDesign:
     def test_single_group_duplicates(self):
         S = SupportSet(10, (0, 1, 2))
-        X = correlated_block_design(20, 10, S, BlockSpec.split(S, 1), SeedSpec(5))
+        X = correlated_block_design(20, 10, S, 1, 0.0, SeedSpec(5))
         block = X.entries[:, 3:]
         for j in range(1, 7):
             assert_array_equal(block[:, j], block[:, 0])
 
     def test_two_groups_rank_two(self):
         S = SupportSet(8, (0,))
-        X = correlated_block_design(16, 8, S, BlockSpec.split(S, 2), SeedSpec(6))
+        X = correlated_block_design(16, 8, S, 2, 0.0, SeedSpec(6))
         sv = np.linalg.svd(X.entries[:, 1:], compute_uv=False)
         assert sv[1] > 1e-6 * sv[0]
         assert sv[2] <= 1e-10 * sv[0]
 
     def test_perturbed_groups_high_cosine(self):
         S = SupportSet(12, (0, 1))
-        X = correlated_block_design(40, 12, S, BlockSpec.split(S, 1, rho=0.01), SeedSpec(7))
+        X = correlated_block_design(40, 12, S, 1, 0.01, SeedSpec(7))
         block = X.entries[:, 2:] / math.sqrt(40)
         cos = block.T @ block
         assert np.min(cos) >= 0.999
 
-    def test_partition_validation(self):
+    def test_groups_and_rho_validated(self):
+        # groups must lie in [1, d - k] and rho must be non-negative
         S = SupportSet(6, (0, 1))
-        with pytest.raises(ValueError):
-            correlated_block_design(10, 6, S, BlockSpec((CorrelatedGroup((2, 3)),)), SeedSpec(1))
-        with pytest.raises(ValueError):
-            CorrelatedGroup(())
-        with pytest.raises(ValueError):
-            BlockSpec(())
+        for groups, rho, problem in ((0, 0.0, "groups"), (5, 0.0, "groups"),
+                                     (2, -0.1, "rho"), (2, float("nan"), "rho")):
+            with pytest.raises(ValueError, match=problem):
+                correlated_block_design(10, 6, S, groups, rho, SeedSpec(1))

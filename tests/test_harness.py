@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,8 @@ import pytest
 
 from rotlasso import SeedSpec, SupportSet, harness, rno_constant
 from rotlasso.harness import (
-    DEFAULT_CONFIGS,
-    EXPERIMENT_NAMES,
+    EXPERIMENTS,
     ExperimentSpec,
-    columns_for,
     counterexample_witness,
     default_spec,
     emit_results,
@@ -37,11 +36,6 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(name="thm-main", grid=({"n": 10, "d": 2, "k": 5},),
                            trials=1, master_seed=0)
-
-    def test_json_round_trip(self):
-        spec = default_spec("rip-rno")
-        back = ExperimentSpec.from_json_dict(spec.to_json_dict())
-        assert back == spec
 
     @pytest.mark.parametrize("name, point", [
         ("lasso-rate", {"n": 100, "d": 20, "k": 2, "sigm": 5.0}),
@@ -81,6 +75,25 @@ class TestExperimentSpec:
         ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "rotation": "hadamard"}, "rotation must"),
         ("rot-check", {"n": 50, "d": 8, "k": 3, "epsilon": 0.2, "rotation": "none"},
          "rotation must"),
+        ("thm-main", {"n": 30.0, "d": 8, "k": 2}, "n must be an integer, got 30.0"),
+        ("thm-main", {"n": 50, "d": 8, "k": 2, "groups": 2.7}, "groups must be an integer"),
+        ("thm-main", {"n": 50, "d": 8, "k": 2, "groups": True}, "groups must be an integer"),
+        ("rip-rno", {"n": 60, "d": 12, "s": True}, "s must be an integer"),
+        ("thm-main", {"n": 50, "d": 8, "k": 2, "groups": 2, "rho": -0.1}, "rho must lie"),
+        ("lasso-rate", {"n": 50, "d": 8, "k": 2, "rho": "x"}, "rho must be a finite number"),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "epsilon": 0.2, "mc_trials": 0}, "mc_trials"),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "epsilon": 0.2, "mc_trials": None},
+         "mc_trials must be an integer"),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "epsilon": float("nan")},
+         "epsilon must be a finite number"),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "epsilon": -1}, "epsilon must lie"),
+        ("rot-check", {"n": 50, "d": 8, "k": 3, "epsilon": 0.2, "max_exceed": -1},
+         "max_exceed must lie"),
+        ("rot-check", {"n": 50, "d": 3, "k": 3, "epsilon": 0.5}, "k must be below d"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "epsilon": -3}, "epsilon must lie"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "epsilon": float("nan")},
+         "epsilon must be a finite number"),
+        ("sparsify-bound", {"n": 20, "d": 30, "s": 0}, "s must lie"),
     ])
     def test_unrunnable_grid_point_rejected(self, name, point, problem):
         # rejected when the spec is built, not when a trial runs
@@ -88,15 +101,67 @@ class TestExperimentSpec:
             ExperimentSpec(name=name, grid=(point,), trials=1, master_seed=0)
         assert problem in str(exc.value)
 
-    def test_benchmark_grids_validate(self):
-        path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-        loader = importlib.util.spec_from_file_location("bench_run", path)
-        bench_run = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(bench_run)
+    @pytest.mark.parametrize("trials, master_seed, problem", [
+        (0, 0, "'trials' must be at least 1"),
+        (True, 0, "'trials' must be an integer"),
+        (1, -1, "'master_seed' must lie in [0, 2**64)"),
+        (1, 2**64, "'master_seed' must lie in [0, 2**64)"),
+        (1, 1.0, "'master_seed' must be an integer"),
+    ])
+    def test_bad_trials_or_seed_rejected(self, trials, master_seed, problem):
+        with pytest.raises(ValueError) as exc:
+            ExperimentSpec(name="rip-rno", grid=({"n": 60, "d": 12, "s": 2},), trials=trials,
+                           master_seed=master_seed)
+        assert problem in str(exc.value)
+
+    def test_defaults_filled_and_floats_coerced(self):
+        spec = mini_spec("rot-check", [{"n": 50, "d": 8, "k": 3, "epsilon": 1}], 30)
+        assert spec.point(0) == {"n": 50, "d": 8, "k": 3, "rotation": "haar",
+                                 "epsilon": 1.0, "max_exceed": None, "mc_trials": 30}
+        assert spec.grid == ({"n": 50, "d": 8, "k": 3, "epsilon": 1},)
+
+    def test_benchmark_grids_validate(self, bench_run):
         for experiments in bench_run.WORKLOADS.values():
             for name, cfg in experiments:
                 ExperimentSpec(name=name, grid=tuple(cfg["grid"]), trials=cfg["trials"],
                                master_seed=0)
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """``bench/run.py`` as a module, with ``bench/`` on the import path for its
+    ``checks`` and ``tracing`` modules."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        loader = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+        module = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path.remove(str(bench))
+
+
+@pytest.mark.parametrize("workload", ["re-cert", "rot-tail", "lasso-rate", "enum-rno"])
+def test_benchmark_pass_keeps_its_traced_calls(workload, bench_run, tmp_path):
+    # one traced pass per workload: a refactor that hides a traced call from the
+    # tracer, or renames an argument the checks read, fails here
+    import checks
+    import tracing
+
+    from rotlasso import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        p = bench_run.run_pass(cli, bench_run.WORKLOADS[workload], 1000, tmp_path)
+    finally:
+        tracer.uninstall()
+    assert p["errors"] == [] and p["failed"] == 0
+    report = bench_run.check_captures(checks, np, workload, tracer.captures, 1)
+    assert {layer: r["failures"] for layer, r in report.items() if r["failures"]} == {}
+    for layer in bench_run.REQUIRED_CAPTURES[workload]:
+        assert report[layer]["checked"] > 0
 
 
 class TestThmMain:
@@ -301,7 +366,7 @@ class TestEmitAndDeterminism:
         rows = run_experiment(spec)
         paths = emit_results(spec, rows, tmp_path)
         header = (tmp_path / "sparsify-bound.csv").read_text().splitlines()[0]
-        assert header == ",".join(columns_for("sparsify-bound"))
+        assert header == ",".join(EXPERIMENTS["sparsify-bound"].columns)
         assert "wall_time" not in header
         timing = json.loads((tmp_path / "sparsify-bound.timing.json").read_text())
         assert timing["rows"] == 3
@@ -340,6 +405,26 @@ class TestEmitAndDeterminism:
                 assert rec["pass"] == str(recomputed)
 
     def test_default_configs_cover_all_experiments(self):
-        assert set(DEFAULT_CONFIGS) == set(EXPERIMENT_NAMES)
-        for name in EXPERIMENT_NAMES:
+        assert tuple(EXPERIMENTS) == ("thm-main", "lasso-rate", "rno-whp", "rip-rno",
+                                      "counterexample", "sparsify-bound", "rot-check")
+        for name in EXPERIMENTS:
             default_spec(name)
+
+    @pytest.mark.parametrize("name, header", [
+        ("thm-main", "grid_index,n,d,k,rho,design,trial,gamma_xs,gamma_x,ratio,pass"),
+        ("lasso-rate", "grid_index,n,d,k,sigma,trial,gamma_hat,theory_bound,pred_error,"
+                       "pred_error_gauss,pass"),
+        ("rno-whp", "grid_index,n,d,k,s,rotation,base,epsilon,trial,rno_eps,gamma_xs,gamma_x,"
+                    "ratio,c_min,holds_c2,holds_c4,holds_c8,pass"),
+        ("rip-rno", "grid_index,n,d,s,trial,rip_delta,rno_bound,rno_eps_max,pass"),
+        ("counterexample", "grid_index,n,d,k,trial,gamma_prime_xs,witness_ratio,"
+                           "gamma_prime_x,gamma_x,pass"),
+        ("sparsify-bound", "grid_index,n,d,s,trial,l1_beta,bound,error,attempts,pass"),
+        ("rot-check", "grid_index,n,d,k,rotation,epsilon,max_exceed,trial,mc_trials,"
+                      "exceedances,rate,pass"),
+    ])
+    def test_csv_header_is_append_only(self, name, header, tmp_path):
+        # columns are only ever appended to their section: a reorder, rename
+        # or removal changes a header pinned here
+        emit_results(default_spec(name), [], tmp_path)
+        assert (tmp_path / f"{name}.csv").read_text().splitlines()[0] == header

@@ -57,6 +57,7 @@ import numpy as np
 
 from ._projection import project_l1_columns, project_l1_cone_columns
 from .core import (
+    BASIS_RANK_RTOL,
     DegenerateInputError,
     DesignMatrix,
     EnumerationTooLargeError,
@@ -68,6 +69,7 @@ from .core import (
     seeded_stream,
     sparse_vector_to_json_dict,
 )
+from .designs import RotationKind, partially_rotate
 
 DEFAULT_ENUM_CAP = 1_000_000
 # supports per batched SVD of ``_masked_bases``, and support pairs per chunk
@@ -78,6 +80,8 @@ _CHUNK_PAIRS = 200_000
 # reaches its cap reports that it did not converge
 _INNER_CAP = 100_000
 _DESCENT_CAP = 6_000
+# coarse relative residual of the inner solve, which only ranks mode gamma's starts
+_INNER_TOL = 1e-5
 # fixed so that certificates are reproducible when the caller passes no seed
 DEFAULT_SOLVER_SEED = SeedSpec(0x5EED, 0)
 
@@ -147,14 +151,14 @@ class Certificate:
         }
 
 
-def cone_membership(z, cone: ConeSpec, tol: float = 1e-12) -> bool:
+def cone_membership(z, cone: ConeSpec) -> bool:
     """Whether the off-support l1 mass of z is at most L times the on-support mass."""
     zd = z.to_dense() if isinstance(z, SparseVector) else np.asarray(z, dtype=np.float64)
     if zd.size != cone.S.dim:
         raise InvalidSupportError(f"vector dim {zd.size} does not match cone dim {cone.S.dim}")
     on = float(np.abs(zd[cone.S.array()]).sum())
     off = float(np.abs(zd).sum()) - on
-    return off <= cone.L * on + tol
+    return off <= cone.L * on + 1e-12
 
 
 def re_objective_value(X: DesignMatrix, z, S_prime: SupportSet, mode: str = "gamma") -> float:
@@ -181,17 +185,18 @@ def re_objective_value(X: DesignMatrix, z, S_prime: SupportSet, mode: str = "gam
 # ---------------------------------------------------------------------------
 
 
-def _inner_min(G, B, radii, step, tol):
+def _inner_min(G, B, radii):
     """FISTA with gradient restarts for min_v 2 b^T v + v^T G v, ||v||_1 <= r.
 
-    B holds one column b per problem; radii one radius per problem.  Converged
-    columns are frozen and dropped from the working set, so the cost tracks
-    the hard problems only; the solve stops after ``_INNER_CAP`` iterations.
-    Returns (V, iterations).
+    B holds one column b per problem; radii one radius per problem.  Columns
+    converged to ``_INNER_TOL`` are frozen and dropped from the working set,
+    so the cost tracks the hard problems only; the solve stops after
+    ``_INNER_CAP`` iterations.  Returns (V, iterations).
     """
     q, m = B.shape
     if q == 0 or m == 0:
         return np.zeros((q, m)), 0
+    step = _step(G)
     out = np.zeros((q, m))
     active = np.arange(m)
     V, W, Ba, ra = out.copy(), out.copy(), B, radii
@@ -215,7 +220,7 @@ def _inner_min(G, B, radii, step, tol):
             g = 2.0 * (Ba + G @ V)
             res = (_col_norms(project_l1_columns(V - step * g, ra) - V)
                    / (1.0 + _col_norms(V)))
-            keep = ~(res <= tol)  # not converged; a NaN residual counts as such
+            keep = ~(res <= _INNER_TOL)  # not converged; a NaN residual counts as such
             if keep.all():
                 continue
             out[:, active] = V
@@ -273,7 +278,7 @@ def _feasible(G, Z, p, den, L, sigma):
     return Z, GZ, rho if every else np.where(alive, rho, np.inf)
 
 
-def _descend(G, Z, p, den, L, step0, max_iter=_DESCENT_CAP):
+def _descend(G, Z, p, den, L, step0):
     """Monotone projected gradient on z^T G z / ||z_den||^2, batched over columns.
 
     Each step follows the Rayleigh gradient 2 (G z - rho z_den) and maps back
@@ -300,7 +305,7 @@ def _descend(G, Z, p, den, L, step0, max_iter=_DESCENT_CAP):
     (about u lambda_max(G) for unit z) times the local condition number.
     So the remaining iterations of a descent run to the end could move the
     best value only within rounding, up to that factor.
-    Otherwise the descent stops after ``max_iter`` iterations.
+    Otherwise the descent stops after ``_DESCENT_CAP`` iterations.
 
     Returns (Z, rho, iterations, residual, stop), with ``residual`` that of
     the best column at exit and ``stop`` the rule that ended the descent:
@@ -324,7 +329,7 @@ def _descend(G, Z, p, den, L, step0, max_iter=_DESCENT_CAP):
 
     it = 0
     stop = "cap"
-    while it < max_iter and stop == "cap":
+    while it < _DESCENT_CAP and stop == "cap":
         grad = 2.0 * GZ
         grad[den] -= 2.0 * rho * Z[den]
         Z1, GZ1, rho1 = _feasible(G, Z - eta * grad, p, den, L, np.sign(Z[:p]))
@@ -502,14 +507,13 @@ def _re_search(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet, mode: str,
         else:
             U = np.unique(starts[:p], axis=1)
             U /= np.linalg.norm(U, axis=0)
-        V, sweeps = _inner_min(G[p:, p:], G[p:, :p] @ U, cone.L * np.abs(U).sum(axis=0),
-                               _step(G[p:, p:]), tol=1e-5)
+        V, sweeps = _inner_min(G[p:, p:], G[p:, :p] @ U, cone.L * np.abs(U).sum(axis=0))
         starts = np.concatenate([U, V])
         starts = starts[:, np.argsort(_quad(G, starts), kind="stable")[:8]]
         restarts, den = U.shape[1], slice(None, p)
     else:
         restarts, den = starts.shape[1], sp if mode == "gamma" else slice(None)
-    Z, rho, its, residual, stop = _descend(G, starts, p, den, cone.L, _step(G), _DESCENT_CAP)
+    Z, rho, its, residual, stop = _descend(G, starts, p, den, cone.L, _step(G))
     report = SolverReport(iterations=sweeps + its, restarts=restarts, residual=residual,
                           converged=stop == "residual", spread=float(np.ptp(rho)), stop=stop)
     best = Z[:, int(np.argmin(rho))]
@@ -672,7 +676,7 @@ def _masked_bases(R, supports):
         stack = np.moveaxis(R[:, supports[lo:hi]], 0, 1)
         U, sv, _ = np.linalg.svd(stack, full_matrices=False)
         lead = np.maximum(sv[:, :1], 1e-300)
-        mask = sv > 1e-10 * lead
+        mask = sv > BASIS_RANK_RTOL * lead
         out[:, lo:hi] = np.moveaxis(U, 2, 0) * mask.T[:, :, None]
     return out
 
@@ -1044,37 +1048,33 @@ def rno_to_re_lower_bound(epsilon: float, s: int, s_prime_size: int,
     return (1.0 - epsilon - C * math.sqrt(s_prime_size / (gamma_S * s))) * gamma_S
 
 
-def partial_rotation_failure_rate(regenerate, S: SupportSet, alpha, beta,
-                                  epsilon: float, trials: int,
-                                  seed: SeedSpec) -> int:
-    """Number of regenerated designs whose fixed cross-block correlation exceeds epsilon.
+def partial_rotation_failure_rate(X: DesignMatrix, S: SupportSet, kind: RotationKind,
+                                  epsilon: float, trials: int, seed: SeedSpec) -> int:
+    """Number of partial rotations of X whose two column blocks correlate past epsilon.
 
-    ``regenerate`` maps a SeedSpec to a fresh design; ``alpha`` weights the S
-    columns and ``beta`` the complement columns.  Trials run on independent
-    substreams, so the count is reproducible and order-independent; the
-    failure rate is the count over ``trials``.
+    Each trial rotates the columns outside S by a fresh rotation of ``kind``
+    (``partially_rotate``) and compares the sum of the S columns, which the
+    rotation keeps, with the sum of the rotated columns: the trial fails when
+    the cosine between the two exceeds epsilon in absolute value.  The cosine
+    is symmetric in the two blocks, so passing the complement of S rotates S.
+    Trials run on independent substreams, so the count is reproducible and
+    order-independent; the failure rate is the count over ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative, not NaN")
-    comp = S.complement()
-    a = alpha.to_dense() if isinstance(alpha, SparseVector) else np.asarray(alpha, float)
-    b = beta.to_dense() if isinstance(beta, SparseVector) else np.asarray(beta, float)
-    if a.size != S.size or b.size != comp.size:
-        raise InvalidSupportError(
-            f"alpha must have dim |S|={S.size} and beta dim |S^c|={comp.size}")
-    Sarr, Carr = S.array(), comp.array()
+    Sarr, Carr = S.array(), S.complement().array()
+    floor = 1e-12 * math.sqrt(X.n_rows)
+    u = X.entries[:, Sarr] @ np.ones(Sarr.size)
+    nu = float(np.linalg.norm(u))
     count = 0
     for t in range(trials):
-        Xp = regenerate(seed.substream(t))
-        u = Xp.entries[:, Sarr] @ a
-        v = Xp.entries[:, Carr] @ b
-        nu = float(np.linalg.norm(u))
+        Xp = partially_rotate(X, S, kind, seed.substream(t))
+        v = Xp.entries[:, Carr] @ np.ones(Carr.size)
         nv = float(np.linalg.norm(v))
-        floor = 1e-12 * math.sqrt(Xp.n_rows)
-        if nu <= floor * np.abs(a).sum() or nv <= floor * np.abs(b).sum():
-            raise DegenerateInputError("combination collapses to zero under the generator")
+        if nu <= floor * Sarr.size or nv <= floor * Carr.size:
+            raise DegenerateInputError("a block's column sum collapses to zero")
         if abs(float(u @ v)) > epsilon * nu * nv:
             count += 1
     return count

@@ -133,14 +133,25 @@ def _gaussian_base(n, d, seed):
 
 
 def _check_gen_counts(parser, args) -> None:
-    """Reject gen counts that exceed the columns they index."""
+    """Reject gen counts that exceed the columns they index, and values that
+    the chosen kind cannot build a design from."""
     if args.k > args.d:
         parser.error(f"argument --k: must be at most --d = {args.d}, got {args.k}")
     if args.d_prime is not None and args.d_prime > args.d:
         parser.error(f"argument --d-prime: must be at most --d = {args.d}, got {args.d_prime}")
-    if args.kind == "correlated" and args.groups > args.d - args.k:
-        parser.error(f"argument --groups: must be at most --d - --k = {args.d - args.k}, "
-                     f"got {args.groups}")
+    if args.kind in ("correlated", "counterexample") and args.k < 1:
+        parser.error(f"argument --k: must be at least 1 for --kind {args.kind}, got {args.k}")
+    if args.kind == "correlated":
+        if args.groups > args.d - args.k:
+            parser.error(f"argument --groups: must be at most --d - --k = {args.d - args.k}, "
+                         f"got {args.groups}")
+        if not (math.isfinite(args.rho) and args.rho >= 0.0):
+            parser.error(f"argument --rho: must be a finite number at least 0, got {args.rho}")
+    if args.kind == "counterexample":
+        for flag, value in (("--n", args.n), ("--d", args.d)):
+            if value < args.k + 2:
+                parser.error(f"argument {flag}: must be at least --k + 2 = {args.k + 2}, "
+                             f"got {value}")
 
 
 def _cmd_gen(args) -> int:
@@ -230,14 +241,8 @@ def _cmd_cert(args) -> int:
         payload = cert.to_json_dict()
         payload["rescaled_by"] = f"1/sqrt({X.n_rows})"
     else:  # rot-check
-        kind = ROTATIONS[args.rotation]()
-
-        def regen(sd):
-            return partially_rotate(X, S, kind, sd)
-
-        count = partial_rotation_failure_rate(
-            regen, S, np.ones(S.size), np.ones(X.n_cols - S.size),
-            args.epsilon, args.trials, seed)
+        count = partial_rotation_failure_rate(X, S, ROTATIONS[args.rotation](), args.epsilon,
+                                              args.trials, seed)
         payload = {"kind": "rot_check", "epsilon": args.epsilon, "trials": args.trials,
                    "exceedances": count, "rate": count / args.trials}
     _write_json(payload, args.out)
@@ -268,7 +273,7 @@ def _cmd_lasso(args) -> int:
         radius = args.radius if args.radius is not None else beta_true.norm_l1()
     else:
         y = np.loadtxt(args.y, delimiter=",").ravel()
-        inst = RegressionInstance(X=X, y=y, beta_true=beta_true, sigma=args.sigma)
+        inst = RegressionInstance(X=X, y=y)
         if args.radius is None:
             raise SystemExit("--radius is required for real responses")
         radius = args.radius

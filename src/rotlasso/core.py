@@ -80,9 +80,6 @@ class DesignMatrix:
     def n_cols(self) -> int:
         return self.entries.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
 
 @dataclass(frozen=True)
 class SupportSet:
@@ -197,10 +194,6 @@ class SeedSpec:
 
     def to_json_dict(self) -> dict:
         return {"master_seed": self.master_seed, "stream_id": self.stream_id}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SeedSpec":
-        return cls(int(d["master_seed"]), int(d.get("stream_id", 0)))
 
 
 def _splitmix64(z: int) -> int:

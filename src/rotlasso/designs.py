@@ -167,10 +167,11 @@ def semirandom_gaussian_design(X: DesignMatrix, support: SupportSet,
 
 def rotated_adversary_design(X: DesignMatrix, adversary_cols, kind: RotationKind,
                              seed: SeedSpec) -> DesignMatrix:
-    """Append d' adversary columns, rotated by a fresh rotation and re-normalized.
+    """Append d' adversary columns, rescaled to norm sqrt(n), and rotate them.
 
-    The result is an n x (d + d') design whose first d columns are X; it is
-    partially rotated with respect to {0..d-1}.
+    The result is ``partially_rotate`` of the n x (d + d') design [X | A]
+    with respect to {0..d-1}: its first d columns are X's, and the adversary
+    columns are rotated by one fresh rotation and re-normalized.
     """
     if not X.normalized:
         raise ValueError("rotated_adversary_design requires a normalized design")
@@ -179,10 +180,10 @@ def rotated_adversary_design(X: DesignMatrix, adversary_cols, kind: RotationKind
         return X
     if A.ndim != 2 or A.shape[0] != X.n_rows:
         raise ValueError(f"adversary columns must be {X.n_rows} x d', got shape {A.shape}")
-    A = _rescale_to_sqrt_n(A, X.n_rows)
-    R = sample_rotation(kind, X.n_rows, seed)
-    B = _rescale_to_sqrt_n(R @ A, X.n_rows)
-    return DesignMatrix(np.hstack([X.entries, B]), normalized=True)
+    stacked = DesignMatrix(np.hstack([X.entries, _rescale_to_sqrt_n(A, X.n_rows)]),
+                           normalized=True)
+    return partially_rotate(stacked, SupportSet(stacked.n_cols, tuple(range(X.n_cols))),
+                            kind, seed)
 
 
 def counterexample_design(n: int, d: int, k: int,

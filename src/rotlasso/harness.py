@@ -317,13 +317,8 @@ def _trial_rot_check(g, seed):
     rng = seeded_stream(seed.substream(0))
     X = normalize_columns(DesignMatrix(rng.standard_normal((n, d))))
     S = SupportSet(d, tuple(range(k)))
-    kind = ROTATIONS[g["rotation"]]()
-
-    def regen(sd):
-        return partially_rotate(X, S, kind, sd)
-
-    exceed = partial_rotation_failure_rate(regen, S, np.ones(k), np.ones(d - k),
-                                           epsilon, mc_trials, seed.substream(1))
+    exceed = partial_rotation_failure_rate(X, S, ROTATIONS[g["rotation"]](), epsilon,
+                                           mc_trials, seed.substream(1))
     if epsilon >= 1.0:
         passed = exceed == 0
     elif g["max_exceed"] is not None:
@@ -336,6 +331,18 @@ def _trial_rot_check(g, seed):
 _MODEL_KEYS = {"rho": 0.0, "groups": 1, "design": "correlated"}  # read by _adversarial_design
 _GROUPS_FIT = (lambda g: g["groups"] <= g["d"] - g["k"], "groups must lie in [1, d - k]")
 
+
+def _defaults_unless(switch: str, value: str) -> tuple:
+    """Limits that hold every other model key at its default unless ``switch``
+    is ``value``: the trial reads those keys only then."""
+    return tuple((lambda g, key=key, default=default: g[switch] == value or g[key] == default,
+                  f"{key} must be {default!r} unless {switch} is {value!r}: "
+                  f"the trial reads it only then")
+                 for key, default in _MODEL_KEYS.items() if key != switch)
+
+
+_CORRELATED_ONLY = _defaults_unless("design", "correlated")  # rho and groups
+
 EXPERIMENTS = {
     "thm-main": Experiment(
         _trial_thm_main,
@@ -346,7 +353,7 @@ EXPERIMENTS = {
                   "the suite-level 48-of-50 threshold is a pragmatic choice for "
                   "a with-high-probability statement with unspecified constants",
         default={"grid": [{"n": 200, "d": 64, "k": 3}], "trials": 50},
-        limits=(_GROUPS_FIT,),
+        limits=(_GROUPS_FIT, *_CORRELATED_ONLY),
     ),
     "lasso-rate": Experiment(
         _trial_lasso_rate,
@@ -356,7 +363,7 @@ EXPERIMENTS = {
         pass_rule="pred_error <= 30 * theory_bound; acceptance judges medians per grid point",
         default={"grid": [{"n": n, "d": 128, "k": k, "sigma": 1.0, "groups": 32}
                           for k in (2, 4, 8) for n in (100, 200, 400)], "trials": 20},
-        limits=(_GROUPS_FIT,),
+        limits=(_GROUPS_FIT, *_CORRELATED_ONLY),
     ),
     "rno-whp": Experiment(
         _trial_rno_whp,
@@ -368,8 +375,9 @@ EXPERIMENTS = {
         pass_rule="rno_eps <= 2 * epsilon (desk-scale target in the epsilon column)",
         default={"grid": [{"n": 200, "d": 20, "k": 5, "s": 2,
                            "rotation": "haar", "epsilon": 0.25}], "trials": 100},
-        limits=(_GROUPS_FIT, (lambda g: g["s"] <= min(g["k"], g["d"] - g["k"]),
-                              "s must lie in [1, min(k, d - k)]")),
+        limits=(_GROUPS_FIT, *_CORRELATED_ONLY, *_defaults_unless("base", "correlated"),
+                (lambda g: g["s"] <= min(g["k"], g["d"] - g["k"]),
+                 "s must lie in [1, min(k, d - k)]")),
     ),
     "rip-rno": Experiment(
         _trial_rip_rno,

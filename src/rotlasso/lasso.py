@@ -37,20 +37,15 @@ LASSO_MAX_ITER = 200_000
 
 @dataclass(frozen=True, eq=False)
 class RegressionInstance:
-    """A design, a response, and (for synthetic data) the planted truth."""
+    """A design and a response."""
 
     X: DesignMatrix
     y: np.ndarray
-    beta_true: SparseVector | None = None
-    sigma: float = 0.0
-    seed: SeedSpec | None = None
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=np.float64).ravel()
         if y.size != self.X.n_rows:
             raise ValueError(f"y has length {y.size}, expected n={self.X.n_rows}")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be non-negative, not NaN")
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
@@ -77,7 +72,7 @@ def synth_response(X: DesignMatrix, beta: SparseVector, sigma: float,
     y = X.entries @ beta.to_dense()
     if sigma > 0:
         y = y + sigma * seeded_stream(seed).standard_normal(X.n_rows)
-    return RegressionInstance(X=X, y=y, beta_true=beta, sigma=sigma, seed=seed)
+    return RegressionInstance(X=X, y=y)
 
 
 # the public name of the single-vector ball projection

@@ -293,6 +293,7 @@ class TestBatchedDescent:
     def test_each_column_follows_its_own_path(self, den, monkeypatch):
         # with the residual stop off, every column runs to the cap
         monkeypatch.setattr(certificates, "_certificate", lambda step0: -math.inf)
+        monkeypatch.setattr(certificates, "_DESCENT_CAP", 300)
         rng = np.random.default_rng(83)
         for seed, (n, d, p) in enumerate(((20, 12, 2), (30, 20, 3))):
             X = gaussian_design(n, d, seed=400 + seed)
@@ -301,7 +302,7 @@ class TestBatchedDescent:
             Z = rng.standard_normal((d, 6))
             Z[:p, 2] = 0.0  # a vanishing denominator: this start is dropped
             # a step 8 times the safe one makes some columns reject steps
-            args = (p, rows, 1.0, 8.0 * _step(G), 300)
+            args = (p, rows, 1.0, 8.0 * _step(G))
             _, rho, its, _, stop = _descend(G, Z.copy(), *args)
             alone = [_descend(G, Z[:, [c]].copy(), *args)[1] for c in (0, 1, 3, 4, 5)]
             assert its == 300 and stop == "cap"
@@ -367,7 +368,8 @@ class TestDescentStop:
         # the residual test passes on a check iteration, long before the cap
         _, _, its, res, stop = _descend(*args)
         assert stop == "residual" and its % 20 == 0 and its < _DESCENT_CAP and res <= tol
-        _, _, its, res, stop = _descend(*args, 7)
+        monkeypatch.setattr(certificates, "_DESCENT_CAP", 7)
+        _, _, its, res, stop = _descend(*args)
         assert stop == "cap" and its == 7 and res > tol
         for cap, stop in ((1, "cap"), (_DESCENT_CAP, "residual")):
             monkeypatch.setattr(certificates, "_DESCENT_CAP", cap)
@@ -987,49 +989,64 @@ class TestFormulaBounds:
 
 class TestPartialRotationFailureRate:
     def _setup(self):
-        X = gaussian_design(100, 8, seed=44)
-        S = SupportSet(8, (0, 1, 2))
-        alpha = SparseVector.from_dense(np.array([1.0, -1.0, 2.0]))
-        beta = SparseVector.from_dense(np.ones(5))
-        return X, S, alpha, beta
+        return gaussian_design(100, 8, seed=44), SupportSet(8, (0, 1, 2))
 
     def test_epsilon_one_never_fails(self):
-        X, S, alpha, beta = self._setup()
-        regen = lambda sd: partially_rotate(X, S, RotationKind.haar(), sd)
-        count = partial_rotation_failure_rate(regen, S, alpha, beta, 1.0, 200, SeedSpec(9))
-        assert count == 0
+        X, S = self._setup()
+        assert partial_rotation_failure_rate(X, S, RotationKind.haar(), 1.0, 200,
+                                             SeedSpec(9)) == 0
 
     def test_haar_half_threshold(self):
-        X, S, alpha, beta = self._setup()
-        regen = lambda sd: partially_rotate(X, S, RotationKind.haar(), sd)
-        count = partial_rotation_failure_rate(regen, S, alpha, beta, 0.5, 2000, SeedSpec(10))
+        X, S = self._setup()
+        count = partial_rotation_failure_rate(X, S, RotationKind.haar(), 0.5, 2000, SeedSpec(10))
         assert isinstance(count, int)
         assert count <= 2
 
     @pytest.mark.parametrize("epsilon", [-0.1, float("nan")])
     def test_bad_epsilon_rejected(self, epsilon):
-        X, S, alpha, beta = self._setup()
-        regen = lambda sd: partially_rotate(X, S, RotationKind.haar(), sd)
+        X, S = self._setup()
         with pytest.raises(ValueError):
-            partial_rotation_failure_rate(regen, S, alpha, beta, epsilon, 5, SeedSpec(9))
+            partial_rotation_failure_rate(X, S, RotationKind.haar(), epsilon, 5, SeedSpec(9))
 
     def test_determinism(self):
-        X, S, alpha, beta = self._setup()
-        regen = lambda sd: partially_rotate(X, S, RotationKind.gaussian(), sd)
-        c1 = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, 300, SeedSpec(12))
-        c2 = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, 300, SeedSpec(12))
+        X, S = self._setup()
+        c1 = partial_rotation_failure_rate(X, S, RotationKind.gaussian(), 0.2, 300, SeedSpec(12))
+        c2 = partial_rotation_failure_rate(X, S, RotationKind.gaussian(), 0.2, 300, SeedSpec(12))
         assert c1 == c2
 
     @pytest.mark.parametrize("rotated", ["complement", "support"])
+    @pytest.mark.parametrize("kind", [RotationKind.haar(), RotationKind.gaussian()],
+                             ids=["haar", "gaussian"])
+    def test_matches_a_loop_over_partial_rotations(self, kind, rotated):
+        # the count against one partially_rotate per trial, with both column
+        # sums taken from the rotated design
+        X = gaussian_design(50, 8, seed=45)
+        kept = SupportSet(8, (0, 1, 2))
+        if rotated == "support":
+            kept = kept.complement()
+        rest = kept.complement()
+        epsilon, trials, seed = 0.15, 200, SeedSpec(14)
+        expected = 0
+        for t in range(trials):
+            Xp = partially_rotate(X, kept, kind, seed.substream(t)).entries
+            u = Xp[:, kept.array()] @ np.ones(kept.size)
+            v = Xp[:, rest.array()] @ np.ones(rest.size)
+            if abs(float(u @ v)) > epsilon * float(np.linalg.norm(u)) * float(np.linalg.norm(v)):
+                expected += 1
+        assert 0 < expected < trials
+        assert partial_rotation_failure_rate(X, kept, kind, epsilon, trials, seed) == expected
+
+    @pytest.mark.parametrize("rotated", ["complement", "support"])
     def test_haar_count_follows_beta_law(self, rotated):
-        # a Haar rotation sends either combination to a uniform direction, so
-        # cos^2 ~ Beta(1/2, (n-1)/2) whichever block it rotates
-        X, S, alpha, beta = self._setup()
-        block = S.complement() if rotated == "support" else S
-        regen = lambda sd: partially_rotate(X, block, RotationKind.haar(), sd)
+        # a Haar rotation sends either column sum to a uniform direction, so
+        # cos^2 ~ Beta(1/2, (n-1)/2) whichever block it rotates; the cosine is
+        # symmetric in the two blocks, so keeping S^c rotates S
+        X, S = self._setup()
+        kept = S.complement() if rotated == "support" else S
         trials = 1500
         p = 1.0 - betainc(0.5, (100 - 1) / 2.0, 0.2**2)
         assert p == pytest.approx(4.49e-2, abs=5e-5)
         lo, hi = binom.interval(1.0 - 1e-6, trials, p)
-        count = partial_rotation_failure_rate(regen, S, alpha, beta, 0.2, trials, SeedSpec(13))
+        count = partial_rotation_failure_rate(X, kept, RotationKind.haar(), 0.2, trials,
+                                              SeedSpec(13))
         assert lo <= count <= hi

@@ -54,8 +54,17 @@ class TestGen:
         (["--kind", "adversary", "--d-prime", 10], "--d-prime"),
         (["--kind", "correlated", "--k", 2, "--groups", 0], "--groups"),
         (["--kind", "correlated", "--k", 2, "--groups", 5], "--groups"),
+        (["--kind", "correlated", "--k", 0], "--k"),
+        (["--kind", "correlated", "--k", 2, "--rho", -0.1], "--rho"),
+        (["--kind", "correlated", "--k", 2, "--rho", "nan"], "--rho"),
+        (["--kind", "correlated", "--k", 2, "--rho", "inf"], "--rho"),
+        (["--kind", "counterexample", "--k", 0], "--k"),
+        (["--kind", "counterexample", "--k", 4, "--n", 5], "--n"),
+        (["--kind", "counterexample", "--k", 5], "--d"),
     ], ids=["n-zero", "d-zero", "k-negative", "k-above-d", "d-prime-negative", "d-prime-above-d",
-            "groups-zero", "groups-above-d-minus-k"])
+            "groups-zero", "groups-above-d-minus-k", "correlated-k-zero", "rho-negative",
+            "rho-nan", "rho-inf", "counterexample-k-zero", "counterexample-n-below-k-plus-2",
+            "counterexample-d-below-k-plus-2"])
     def test_bad_counts_rejected(self, flags, flag, tmp_path, capsys):
         out = tmp_path / "bad"
         with pytest.raises(SystemExit) as exc:

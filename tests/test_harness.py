@@ -94,6 +94,25 @@ class TestExperimentSpec:
         ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "epsilon": float("nan")},
          "epsilon must be a finite number"),
         ("sparsify-bound", {"n": 20, "d": 30, "s": 0}, "s must lie"),
+        # keys that the trial ignores under the chosen design or base
+        ("thm-main", {"n": 50, "d": 8, "k": 3, "design": "semirandom", "rho": 0.5},
+         "rho must be 0.0 unless design is 'correlated'"),
+        ("thm-main", {"n": 50, "d": 8, "k": 3, "design": "semirandom", "groups": 2},
+         "groups must be 1 unless design is 'correlated'"),
+        ("lasso-rate", {"n": 50, "d": 8, "k": 2, "design": "semirandom", "rho": 0.1},
+         "rho must be 0.0 unless design is 'correlated'"),
+        ("lasso-rate", {"n": 50, "d": 8, "k": 2, "design": "semirandom", "groups": 3},
+         "groups must be 1 unless design is 'correlated'"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "design": "semirandom", "rho": 0.5},
+         "rho must be 0.0 unless design is 'correlated'"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "design": "semirandom", "groups": 2},
+         "groups must be 1 unless design is 'correlated'"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "base": "cross-dup",
+                     "design": "semirandom"}, "design must be 'correlated' unless base"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "base": "cross-dup", "rho": 0.5},
+         "rho must be 0.0 unless base is 'correlated'"),
+        ("rno-whp", {"n": 50, "d": 8, "k": 3, "s": 1, "base": "cross-dup", "groups": 2},
+         "groups must be 1 unless base is 'correlated'"),
     ])
     def test_unrunnable_grid_point_rejected(self, name, point, problem):
         # rejected when the spec is built, not when a trial runs
@@ -162,6 +181,11 @@ def test_benchmark_pass_keeps_its_traced_calls(workload, bench_run, tmp_path):
     assert {layer: r["failures"] for layer, r in report.items() if r["failures"]} == {}
     for layer in bench_run.REQUIRED_CAPTURES[workload]:
         assert report[layer]["checked"] > 0
+    if workload == "rot-tail":
+        # one tail check per grid point, one partial rotation per Monte Carlo
+        # trial (400 + 400 + 100): batching or bypassing them hides them from the tracer
+        assert tracer.stats["certificates.partial_rotation_failure_rate"]["calls"] == 3
+        assert tracer.stats["designs.partially_rotate"]["calls"] == 900
 
 
 class TestThmMain:

@@ -8,7 +8,6 @@ from scipy.optimize import minimize
 from rotlasso import (
     DesignMatrix,
     InvalidSupportError,
-    RegressionInstance,
     SeedSpec,
     SparseVector,
     SupportSet,
@@ -138,8 +137,6 @@ class TestSynthResponse:
         beta = SparseVector(4, ((0, 1.0),))
         with pytest.raises(ValueError, match="sigma"):
             synth_response(X, beta, sigma, SeedSpec(1))
-        with pytest.raises(ValueError, match="sigma"):
-            RegressionInstance(X=X, y=X.entries @ beta.to_dense(), sigma=sigma)
 
     def test_determinism(self):
         X = gaussian_design(12, 6, seed=3)

@@ -132,9 +132,28 @@ def _gaussian_base(n, d, seed):
     return normalize_columns(DesignMatrix(rng.standard_normal((n, d))))
 
 
+# the gen flags that some kind never reads, with their defaults, and the
+# ones that each kind reads
+_GEN_OPTIONAL = {"k": 0, "rotation": "haar", "base": None, "d_prime": None, "rho": 0.0,
+                 "groups": 1}
+_GEN_READS = {
+    "partial-rot": {"k", "rotation", "base"},
+    "semirandom": {"k", "base"},
+    "adversary": {"rotation", "base", "d_prime"},
+    "counterexample": {"k"},
+    "correlated": {"k", "rho", "groups"},
+}
+
+
 def _check_gen_counts(parser, args) -> None:
-    """Reject gen counts that exceed the columns they index, and values that
-    the chosen kind cannot build a design from."""
+    """Reject gen flags that the chosen kind never reads, counts that exceed
+    the columns they index, and values that the kind cannot build a design
+    from."""
+    for dest, default in _GEN_OPTIONAL.items():
+        value = getattr(args, dest)
+        if dest not in _GEN_READS[args.kind] and value != default:
+            parser.error(f"argument --{dest.replace('_', '-')}: not read by --kind {args.kind}, "
+                         f"got {value!r}")
     if args.k > args.d:
         parser.error(f"argument --k: must be at most --d = {args.d}, got {args.k}")
     if args.d_prime is not None and args.d_prime > args.d:
@@ -262,20 +281,32 @@ def _cmd_sparsify(args) -> int:
     return 0
 
 
+def _check_lasso_flags(parser, args) -> None:
+    """Reject lasso flags that its response path cannot use, and a NaN or
+    negative noise level or radius."""
+    for flag, value in (("--sigma", args.sigma), ("--radius", args.radius)):
+        if value is not None and not value >= 0.0:
+            parser.error(f"argument {flag}: must be a number at least 0, got {value}")
+    if args.y == "synthesize":
+        if args.beta is None:
+            parser.error("argument --beta: required for --y synthesize")
+    else:
+        if args.radius is None:
+            parser.error("argument --radius: required for a response file")
+        if args.sigma != 0.0:
+            parser.error("argument --sigma: applies to --y synthesize only")
+
+
 def _cmd_lasso(args) -> int:
     X, _ = read_design(args.matrix)
     seed = _seed_spec(args.seed)
     beta_true = _load_beta(args.beta, X.n_cols) if args.beta else None
     if args.y == "synthesize":
-        if beta_true is None:
-            raise SystemExit("--y synthesize requires --beta")
         inst = synth_response(X, beta_true, args.sigma, seed)
         radius = args.radius if args.radius is not None else beta_true.norm_l1()
     else:
         y = np.loadtxt(args.y, delimiter=",").ravel()
         inst = RegressionInstance(X=X, y=y)
-        if args.radius is None:
-            raise SystemExit("--radius is required for real responses")
         radius = args.radius
     sol = lasso_constrained(inst, radius)
     payload = {
@@ -286,6 +317,7 @@ def _cmd_lasso(args) -> int:
         "iterations": sol.iterations,
         "fixed_point_residual": sol.fixed_point_residual,
         "duality_gap": sol.duality_gap,
+        "stop": sol.stop,
     }
     if beta_true is not None:
         payload["prediction_error"] = prediction_error(X, sol.beta_hat, beta_true)
@@ -321,16 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "counterexample", "correlated"])
     g.add_argument("--n", type=_positive_int, required=True)
     g.add_argument("--d", type=_positive_int, required=True)
-    g.add_argument("--k", type=_nonnegative_int, default=0,
+    g.add_argument("--k", type=_nonnegative_int, default=_GEN_OPTIONAL["k"],
                    help="support size (first k columns)")
-    g.add_argument("--rotation", choices=list(ROTATIONS), default="haar")
+    g.add_argument("--rotation", choices=list(ROTATIONS), default=_GEN_OPTIONAL["rotation"])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--base", help="optional existing design to start from")
-    g.add_argument("--d-prime", type=_positive_int, default=None,
+    g.add_argument("--base", default=_GEN_OPTIONAL["base"],
+                   help="optional existing design to start from")
+    g.add_argument("--d-prime", type=_positive_int, default=_GEN_OPTIONAL["d_prime"],
                    help="adversary column count, at most d")
-    g.add_argument("--rho", type=float, default=0.0, help="correlated-group perturbation")
-    g.add_argument("--groups", type=_positive_int, default=1,
+    g.add_argument("--rho", type=float, default=_GEN_OPTIONAL["rho"],
+                   help="correlated-group perturbation")
+    g.add_argument("--groups", type=_positive_int, default=_GEN_OPTIONAL["groups"],
                    help="number of correlated groups, at most d - k")
     g.set_defaults(func=_cmd_gen)
 
@@ -388,6 +422,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen":
         _check_gen_counts(parser, args)
+    if args.command == "lasso":
+        _check_lasso_flags(parser, args)
     if args.command == "cert":
         args.X, args.S = _cert_inputs(parser, args)
     if args.command == "exp":

@@ -7,10 +7,14 @@ by monotone FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
 Its step is 1/L for L = sigma_max(X)^2 (gradient of the half-residual), the
 top eigenvalue of the smaller of X^T X and X X^T.  A candidate that would
 raise the objective is rejected, which keeps the objective trace
-non-increasing.  The solve closes with one plain projected-gradient step,
-whose length is a checkable fixed-point optimality residual, and reports the
-duality gap at its end point, a bound on its objective's distance to the
-optimum.
+non-increasing.  Once the signs of the kept point settle, the problem on
+their face of the ball is solved exactly by least squares (the active-set
+view; Osborne, Presnell and Turlach 2000), and the solve stops when the
+Frank-Wolfe duality gap (Jaggi 2013) at that face point certifies a relative
+suboptimality of ``LASSO_TOL``.  The solve closes with one plain
+projected-gradient step, whose length is a checkable fixed-point optimality
+residual, and reports the duality gap at its end point, a bound on its
+objective's distance to the optimum.
 """
 
 from __future__ import annotations
@@ -29,10 +33,13 @@ from .core import (
     seeded_stream,
 )
 
-# stopping rule of lasso_constrained: relative objective decrease over a
-# 50-iteration window, and an iteration cap past which it reports non-convergence
+# stopping rules of lasso_constrained: the duality gap at a face point, or the
+# relative objective decrease over a 50-iteration window, at most LASSO_TOL
+# times the objective; and an iteration cap past which it reports non-convergence
 LASSO_TOL = 1e-8
 LASSO_MAX_ITER = 200_000
+# accepted steps with one sign vector before the face solve tries it
+FACE_AFTER = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +67,8 @@ class LassoSolution:
     fixed_point_residual: float = 0.0
     duality_gap: float = 0.0
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # the rule that ended the loop: "gap", "window", "short" or "cap"
+    stop: str | None = None
 
 
 def synth_response(X: DesignMatrix, beta: SparseVector, sigma: float,
@@ -79,9 +88,58 @@ def synth_response(X: DesignMatrix, beta: SparseVector, sigma: float,
 project_l1_ball = project_l1
 
 
+def _face_step(X, y, b, radius):
+    """The minimum of ||y - X beta||^2 on the face of the ball that holds b,
+    or None when it leaves that face.
+
+    The face keeps the support A of b and its signs s, so the l1 norm is
+    s^T beta there.  Where the ball binds at b, the face is the hyperplane
+    s^T beta = radius, written beta0 + B u: beta0 is its point nearest b_A
+    and B an orthonormal basis of s^perp (columns 2..m of the Householder
+    reflector that maps s/sqrt(m) to a multiple of e_1).  Elsewhere
+    beta0 = b_A and B = I.  u is the least-squares solution of
+    X_A B u = y - X_A beta0, from the eigendecomposition of (X_A B)^T X_A B,
+    which is singular when columns repeat or |A| > n: eigenvalues below
+    m eps times the largest count as zero, so u has minimum norm and ties
+    go to the point nearest beta0.  The point is returned, with its
+    residual X beta - y, only if it keeps every sign in s and lies in the
+    ball after a scale-back of rounding size.
+    """
+    A = np.flatnonzero(b)
+    m = A.size
+    if m == 0:
+        return None
+    s = np.sign(b[A])
+    XA = X[:, A]
+    beta = b[A]
+    eps = np.finfo(float).eps
+    if np.abs(beta).sum() >= (1.0 - np.sqrt(eps)) * radius:
+        beta = beta + (radius - float(s @ beta)) / m * s
+        v = s / np.sqrt(m)
+        v[0] += s[0]
+        B = np.eye(m)[:, 1:] - (2.0 / float(v @ v)) * np.outer(v, v[1:])
+    else:
+        B = np.eye(m)
+    XB = XA @ B
+    lam, V = np.linalg.eigh(XB.T @ XB)
+    keep = lam > m * eps * lam.max(initial=0.0)
+    V = V[:, keep]
+    beta = beta + B @ (V @ ((V.T @ (XB.T @ (y - XA @ beta))) / lam[keep]))
+    if not np.array_equal(np.sign(beta), s):
+        return None
+    l1 = float(np.abs(beta).sum())
+    if l1 > radius:
+        if l1 > radius * (1.0 + 4.0 * m * eps):
+            return None
+        beta *= radius / l1
+    out = np.zeros_like(b)
+    out[A] = beta
+    return out, XA @ beta - y
+
+
 def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolution:
     """Monotone FISTA with adaptive restart for the l1-constrained least squares
-    problem.
+    problem, finished by an exact solve on the face of its settled signs.
 
     Starts from zero.  Each iteration takes a projected-gradient step from the
     extrapolated point w to a candidate z, at one product with X^T and one with
@@ -89,17 +147,28 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     whose objective exceeds the kept one is rejected and the momentum reset,
     so the next step is a plain projected-gradient step from the kept point.
     The momentum also restarts when <w - z, z - b> > 0 for the kept point b.
-    The loop stops when the relative objective decrease over a 50-iteration
-    window falls below ``LASSO_TOL``, once a step is negligible, or at
-    ``LASSO_MAX_ITER``.  One plain projected-gradient step from the kept point
-    then gives beta_hat; its length is the ``fixed_point_residual`` and decides
-    ``converged``.  The solution is feasible either way.
+
+    Once the kept point has shown the same sign vector after
+    ``FACE_AFTER`` accepted steps, ``_face_step`` solves the problem on that
+    face exactly, once per sign vector (the active-set view; Osborne,
+    Presnell and Turlach 2000).  The face point replaces b when it keeps the
+    signs, lies in the ball and has no higher objective; that counts as an
+    iteration and enters the objective trace, and the momentum resets.  The
+    loop stops (``stop``) when the duality gap at an adopted face point is
+    at most ``LASSO_TOL`` times its objective ("gap"), when the relative
+    objective decrease over a 50-iteration window falls below ``LASSO_TOL``
+    ("window"), once a step is negligible ("short"), or at
+    ``LASSO_MAX_ITER`` ("cap").  One plain projected-gradient step from the
+    kept point then gives beta_hat; its length is the
+    ``fixed_point_residual`` and decides ``converged``.  The solution is
+    feasible either way.
 
     ``duality_gap`` is the Frank-Wolfe gap g^T beta_hat + radius ||g||_inf of
     the objective f(b) = ||y - X b||^2 at beta_hat, g = grad f(beta_hat):
     f is convex, so f(beta_hat) - f(b) <= g^T (beta_hat - b) for every b in
     the ball, and the right side is at most the gap.  It bounds the
-    objective's distance to the optimum from one X^T r at beta_hat.
+    objective's distance to the optimum from one X^T r at beta_hat; the gap
+    stop applies the same bound at the face point.
     """
     if not radius >= 0:
         raise ValueError("radius must be non-negative, not NaN")
@@ -108,7 +177,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     if radius == 0.0:
         obj = float(y @ y)
         return LassoSolution(np.zeros(instance.X.n_cols), 0.0, obj, 0, True,
-                             objective_trace=np.array([obj]))
+                             objective_trace=np.array([obj]), stop="gap")
 
     # sigma_max(X)^2 is the top eigenvalue of the smaller Gram matrix
     gram = X @ X.T if X.shape[0] < X.shape[1] else X.T @ X
@@ -121,6 +190,8 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     w, r_w = b, r
     t = 1.0
     window = 50
+    signs, settled, tried = np.sign(b), 0, None
+    stop = "cap"
     it = 0
     while it < LASSO_MAX_ITER:
         z = project_l1(w - step * (X.T @ r_w), radius)
@@ -137,16 +208,34 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
                 t, mom = t_new, (t - 1.0) / t_new
             w, r_w = z + mom * dz, r_z + mom * (r_z - r)
             b, r, obj = z, r_z, obj_z
+            z_signs = np.sign(b)
+            settled = settled + 1 if np.array_equal(z_signs, signs) else 1
+            signs = z_signs
         else:
             t = 1.0
             w, r_w = b, r
         trace.append(obj)
         if short:
+            stop = "short"
             break
         if it >= window:
             prev = trace[-1 - window]
             if prev - obj < LASSO_TOL * max(prev, 1e-300):
+                stop = "window"
                 break
+        if settled >= FACE_AFTER and it < LASSO_MAX_ITER and not np.array_equal(signs, tried):
+            tried = signs
+            face = _face_step(X, y, b, radius)
+            obj_f = np.inf if face is None else float(face[1] @ face[1])
+            if obj_f <= obj:
+                (b, r), obj = face, obj_f
+                it += 1
+                trace.append(obj)
+                t, w, r_w = 1.0, b, r
+                g = X.T @ r
+                if 2.0 * (float(g @ b) + radius * float(np.abs(g).max())) <= LASSO_TOL * obj:
+                    stop = "gap"
+                    break
     b_new = project_l1(b - step * (X.T @ r), radius)
     r = X @ b_new - y
     res = float(np.linalg.norm(b_new - b))
@@ -162,6 +251,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
         fixed_point_residual=res,
         duality_gap=float(g @ b_new) + radius * float(np.abs(g).max()),
         objective_trace=np.asarray(trace),
+        stop=stop,
     )
 
 

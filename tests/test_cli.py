@@ -38,7 +38,7 @@ class TestGen:
 
     def test_adversary_appends_columns(self, tmp_path):
         out = tmp_path / "adv"
-        assert run_cli(["gen", "--kind", "adversary", "--n", 20, "--d", 5, "--k", 5,
+        assert run_cli(["gen", "--kind", "adversary", "--n", 20, "--d", 5,
                         "--d-prime", 3, "--seed", 2, "--out", out]) == 0
         X, _ = read_design(out)
         assert X.n_cols == 8
@@ -71,6 +71,28 @@ class TestGen:
             run_cli(["gen", "--n", 12, "--d", 6, "--seed", 1, "--out", out, *flags])
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--kind", "correlated", "--k", 2, "--d-prime", 3], "--d-prime"),
+        (["--kind", "correlated", "--k", 2, "--rotation", "gaussian"], "--rotation"),
+        (["--kind", "correlated", "--k", 2, "--base", "m"], "--base"),
+        (["--kind", "counterexample", "--k", 2, "--base", "m"], "--base"),
+        (["--kind", "semirandom", "--k", 2, "--rotation", "rademacher"], "--rotation"),
+        (["--kind", "partial-rot", "--k", 2, "--rho", 0.1], "--rho"),
+        (["--kind", "semirandom", "--k", 2, "--groups", 2], "--groups"),
+        (["--kind", "adversary", "--k", 2], "--k"),
+    ], ids=["d-prime-correlated", "rotation-correlated", "base-correlated",
+            "base-counterexample", "rotation-semirandom", "rho-partial-rot",
+            "groups-semirandom", "k-adversary"])
+    def test_unread_flag_rejected(self, flags, flag, tmp_path, capsys):
+        # a flag that the kind never reads would leave the design unchanged;
+        # the missing --base file is never opened
+        out = tmp_path / "bad"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen", "--n", 12, "--d", 6, "--seed", 1, "--out", out, *flags])
+        assert exc.value.code == 2
+        assert f"argument {flag}: not read by" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_gen_is_deterministic(self, tmp_path):
@@ -246,33 +268,80 @@ class TestSparsifyAndLasso:
         assert 0.0 <= sol["objective"] <= sol["duality_gap"] <= 1e-5
         assert sol["prediction_error"] <= 1e-8
         assert sol["parameter_errors"]["l1"] >= 0.0
+        # the noiseless fit reaches objective 0, which no relative duality gap
+        # can certify; the negligible-step rule ends the solve
+        assert sol["stop"] == "short"
 
-    def test_lasso_requires_radius_for_file_response(self, tmp_path):
+    def test_lasso_requires_radius_for_file_response(self, tmp_path, capsys):
         out = tmp_path / "m"
         run_cli(["gen", "--kind", "correlated", "--n", 10, "--d", 4, "--k", 1,
                  "--seed", 1, "--out", out])
         y = tmp_path / "y.csv"
         np.savetxt(y, np.zeros(10), delimiter=",")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["lasso", "--matrix", out, "--y", y])
+        assert exc.value.code == 2
+        assert "argument --radius:" in capsys.readouterr().err
 
-    def test_lasso_rejects_nan_radius(self, tmp_path):
+    def test_lasso_synthesize_requires_beta(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        run_cli(["gen", "--kind", "correlated", "--n", 10, "--d", 4, "--k", 1,
+                 "--seed", 1, "--out", out])
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["lasso", "--matrix", out, "--y", "synthesize", "--radius", 1.0])
+        assert exc.value.code == 2
+        assert "argument --beta:" in capsys.readouterr().err
+
+    def test_lasso_rejects_sigma_for_file_response(self, tmp_path, capsys):
+        # the response file is the data; there is no noise to draw
+        out = tmp_path / "m"
+        run_cli(["gen", "--kind", "correlated", "--n", 10, "--d", 4, "--k", 1,
+                 "--seed", 1, "--out", out])
+        y = tmp_path / "y.csv"
+        np.savetxt(y, np.zeros(10), delimiter=",")
+        for sigma in (0.5, "nan"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["lasso", "--matrix", out, "--y", y, "--radius", 1.0, "--sigma", sigma,
+                         "--out", tmp_path / "sol.json"])
+            assert exc.value.code == 2
+            assert "argument --sigma:" in capsys.readouterr().err
+        assert not (tmp_path / "sol.json").exists()
+
+    def test_lasso_rejects_nan_radius(self, tmp_path, capsys):
         out = tmp_path / "m"
         run_cli(["gen", "--kind", "correlated", "--n", 10, "--d", 4, "--k", 1,
                  "--seed", 1, "--out", out])
         beta = '{"dim": 4, "terms": [[0, 1.0]]}'
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["lasso", "--matrix", out, "--y", "synthesize", "--beta", beta,
                      "--radius", "nan", "--out", tmp_path / "sol.json"])
+        assert exc.value.code == 2
+        assert "argument --radius:" in capsys.readouterr().err
+        assert not (tmp_path / "sol.json").exists()
 
-    def test_lasso_rejects_nan_sigma(self, tmp_path):
+    def test_lasso_rejects_nan_sigma(self, tmp_path, capsys):
         out = tmp_path / "m"
         run_cli(["gen", "--kind", "correlated", "--n", 10, "--d", 4, "--k", 1,
                  "--seed", 1, "--out", out])
         beta = '{"dim": 4, "terms": [[0, 1.0]]}'
-        with pytest.raises(ValueError, match="sigma"):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["lasso", "--matrix", out, "--y", "synthesize", "--beta", beta,
                      "--sigma", "nan", "--out", tmp_path / "sol.json"])
+        assert exc.value.code == 2
+        assert "argument --sigma:" in capsys.readouterr().err
+        assert not (tmp_path / "sol.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--radius"])
+    def test_lasso_rejects_negative_sigma_or_radius(self, flag, tmp_path, capsys):
+        out = tmp_path / "m"
+        run_cli(["gen", "--kind", "correlated", "--n", 10, "--d", 4, "--k", 1,
+                 "--seed", 1, "--out", out])
+        beta = '{"dim": 4, "terms": [[0, 1.0]]}'
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["lasso", "--matrix", out, "--y", "synthesize", "--beta", beta,
+                     flag, -0.5, "--out", tmp_path / "sol.json"])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
         assert not (tmp_path / "sol.json").exists()
 
 

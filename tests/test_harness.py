@@ -186,6 +186,12 @@ def test_benchmark_pass_keeps_its_traced_calls(workload, bench_run, tmp_path):
         # trial (400 + 400 + 100): batching or bypassing them hides them from the tracer
         assert tracer.stats["certificates.partial_rotation_failure_rate"]["calls"] == 3
         assert tracer.stats["designs.partially_rotate"]["calls"] == 900
+    if workload == "lasso-rate":
+        # every solve ends on a certified face point, at about 670 iterations
+        # a pass; the window rule alone takes about 2,200
+        solves = [sol for _, sol in tracer.captures["lasso.lasso_constrained"]]
+        assert solves and all(sol.stop == "gap" for sol in solves)
+        assert tracer.stats["lasso.lasso_constrained"]["iterations"] <= 1_000
 
 
 class TestThmMain:

@@ -238,13 +238,13 @@ class TestLassoConstrained:
         # start from the kept point b.  beta_hat must still be one plain
         # projected-gradient step from b, of the reported length delta.
         cases = []
-        for i in range(1, 5):
-            X = gaussian_design(*((50, 400) if i % 2 else (60, 20)), seed=700 + i)
+        for i, shape in ((1, (60, 20)), (3, (50, 400)), (4, (60, 20)), (30, (50, 400))):
+            X = gaussian_design(*shape, seed=700 + i)
             beta = SparseVector(X.n_cols, ((0, 1.0), (1, -2.0), (3, 0.5)))
             inst = synth_response(X, beta, 0.5, SeedSpec(17, i))
             trace = lasso_constrained(inst, beta.norm_l1()).objective_trace
             # a rejected candidate repeats the kept objective in the trace,
-            # here in the middle of the descent
+            # here in the middle of the descent, before any face step
             last = next(k for k in range(1, trace.size - 2)
                         if trace[k - 1] == trace[k] > trace[k + 1])
             cases.append((inst, beta.norm_l1(), last))
@@ -252,6 +252,7 @@ class TestLassoConstrained:
             monkeypatch.setattr(lasso, "LASSO_MAX_ITER", last)
             sol = lasso_constrained(inst, radius)
             t = sol.objective_trace
+            assert sol.stop == "cap"
             assert sol.iterations == last + 1 and t[-2] == t[-3]
             E, y = inst.X.entries, inst.y
             L = float(np.linalg.svd(E, compute_uv=False)[0]) ** 2
@@ -267,10 +268,9 @@ class TestLassoConstrained:
         for inst, radius, sol in oracle_solves:
             assert sol.converged
             ref = pg_reference(inst.X.entries, inst.y, radius)
-            # the window rule stops the accelerated solve within 1.2e-11 of the
-            # reference here, and plain projected gradient under the same rule
-            # within 6.4e-9, so 1e-10 tells the two apart
-            assert sol.objective <= ref * (1 + 1e-10)
+            # every solve ends on a face point or a vertex, within 1.7e-15 of
+            # the reference here; the window rule alone stopped within 1.2e-11
+            assert sol.objective <= ref * (1 + 1e-12)
             # the reported duality gap bounds the distance to the optimum, so
             # to the reference too, up to the reference's rounding
             assert sol.objective - ref <= sol.duality_gap + 1e-13 * ref
@@ -287,6 +287,67 @@ class TestLassoConstrained:
         sol = lasso_constrained(inst, radius=beta.norm_l1())
         grid = lasso_grid_oracle(X.entries, inst.y, sol.radius, stages=14)
         assert abs(sol.objective - grid) <= 1e-5 * max(1.0, grid)
+        # both copies stay in the face, whose least squares is rank deficient,
+        # and the face point still certifies
+        assert np.all(sol.beta_hat != 0.0)
+        assert sol.stop == "gap"
+        assert sol.duality_gap <= lasso.LASSO_TOL * sol.objective
+
+    def test_radius_above_the_least_squares_norm(self):
+        # the ball does not bind: the face solve is plain least squares on the support
+        X = gaussian_design(60, 20, seed=40)
+        beta = SparseVector(20, ((0, 1.0), (1, -2.0), (3, 0.5)))
+        inst = synth_response(X, beta, 0.5, SeedSpec(5))
+        b_ls = np.linalg.lstsq(X.entries, inst.y)[0]
+        r_ls = X.entries @ b_ls - inst.y
+        for factor in (1.01, 2.0):
+            sol = lasso_constrained(inst, factor * float(np.abs(b_ls).sum()))
+            assert sol.stop == "gap" and sol.converged
+            assert sol.objective <= float(r_ls @ r_ls) * (1 + 1e-12)
+            assert_allclose(sol.beta_hat, b_ls, rtol=0, atol=1e-12)
+
+    def test_a_face_minimum_off_its_face_is_refused(self):
+        # y = (2, -1) under X = I: least squares on the face of b = (0.5, 0.5)
+        # is y itself, inside the ball but with the second sign flipped
+        X, y = np.eye(2), np.array([2.0, -1.0])
+        assert lasso._face_step(X, y, np.array([0.5, 0.5]), 10.0) is None
+        # b = (0.5, -0.2) lies inside the ball of radius 1, and its face's
+        # least squares y keeps the signs but has l1 norm 3
+        assert lasso._face_step(X, y, np.array([0.5, -0.2]), 1.0) is None
+        # a face that keeps its signs and the ball is solved exactly
+        point, residual = lasso._face_step(X, y, np.array([0.5, -0.5]), 10.0)
+        assert_allclose(point, y, rtol=0, atol=1e-15)
+        assert_allclose(residual, 0.0, atol=1e-15)
+
+    def test_a_binding_face_is_solved_on_the_sphere(self):
+        # ||b||_1 is 3 (1 - 1e-9), within rounding of the radius 3 as the
+        # projection leaves it: the face is s^T beta = 3, whose point nearest
+        # y = (2, 2, 2) is (1, 1, 1)
+        X, y = np.eye(3), np.full(3, 2.0)
+        point, residual = lasso._face_step(X, y, np.array([1.0, 1.0, 1.0 - 3e-9]), 3.0)
+        assert_allclose(point, np.ones(3), rtol=0, atol=1e-15)
+        assert_allclose(residual, point - y, rtol=0, atol=1e-15)
+        # a one-column face is the vertex radius * s
+        point, _ = lasso._face_step(X, y, np.array([0.0, -0.5, 0.0]), 0.5)
+        assert_array_equal(point, [0.0, -0.5, 0.0])
+
+    def test_a_face_point_above_the_kept_objective_is_refused(self, monkeypatch, oracle_solves):
+        # a face step that offered the kept point pulled halfway to zero,
+        # which keeps its signs and the ball, must not be adopted
+        offered = []
+
+        def worse(X, y, b, radius):
+            offered.append(b)
+            return 0.5 * b, X @ (0.5 * b) - y
+
+        monkeypatch.setattr(lasso, "_face_step", worse)
+        for inst, radius, ref in oracle_solves[:12]:
+            sol = lasso_constrained(inst, radius)
+            slack = 8 * np.finfo(float).eps * max(sol.objective_trace[0], 1.0)
+            assert np.all(np.diff(sol.objective_trace) <= slack)
+            assert sol.stop != "gap"
+            assert sol.objective <= ref.objective * (1 + 1e-9)
+        assert offered
 
 
 class TestErrorMetrics:

@@ -1,6 +1,6 @@
 """Exact Euclidean projections by sort-and-threshold: onto l1 balls, single and
-batched, and onto l1 epigraph cones, batched.  The two batched projections
-share one pivot scan."""
+batched, and onto l1 epigraph cones, batched.  All three share one pivot
+scan."""
 
 from __future__ import annotations
 
@@ -17,11 +17,7 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u * j > (css - radius))[0][-1])
-    theta = (css[rho] - radius) / (rho + 1.0)
+    theta = _l1_threshold(a[:, None], [radius], 0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 

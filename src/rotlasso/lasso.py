@@ -1,20 +1,17 @@
-"""Constrained Lasso by accelerated projected gradient over an l1 ball, plus
-error metrics.
+"""Constrained Lasso on its exact homotopy path, plus error metrics.
 
-The solver minimizes the residual ||y - X b||^2 subject to ||b||_1 <= radius
-by monotone FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
-(O'Donoghue & Candes 2015), on the exact sort-and-threshold ball projection.
-Its step is 1/L for L = sigma_max(X)^2 (gradient of the half-residual), the
-top eigenvalue of the smaller of X^T X and X X^T.  A candidate that would
-raise the objective is rejected, which keeps the objective trace
-non-increasing.  Once the signs of the kept point settle, the problem on
-their face of the ball is solved exactly by least squares (the active-set
-view; Osborne, Presnell and Turlach 2000), and the solve stops when the
-Frank-Wolfe duality gap (Jaggi 2013) at that face point certifies a relative
-suboptimality of ``LASSO_TOL``.  The solve closes with one plain
-projected-gradient step, whose length is a checkable fixed-point optimality
-residual, and reports the duality gap at its end point, a bound on its
-objective's distance to the optimum.
+The solver minimizes the residual ||y - X b||^2 subject to ||b||_1 <= radius.
+The minimizer beta(lam) of ||y - X b||^2 / 2 + lam ||b||_1 is piecewise
+linear in lam, and its l1 norm never falls as lam falls from ||X^T y||_inf
+to 0, so the constrained solution is the point of that path where the norm
+reaches the radius, or the path's end where the ball does not bind.  The
+solver walks the path from beta = 0 one breakpoint at a time (the homotopy of
+Osborne, Presnell and Turlach 2000; the LARS-lasso of Efron, Hastie,
+Johnstone and Tibshirani 2004) and finds that point in closed form on its
+segment.  It closes with one plain projected-gradient step, whose length is
+a checkable fixed-point optimality residual, and reports the Frank-Wolfe
+duality gap (Jaggi 2013) at its end point, a bound on its objective's
+distance to the optimum.
 """
 
 from __future__ import annotations
@@ -33,13 +30,14 @@ from .core import (
     seeded_stream,
 )
 
-# stopping rules of lasso_constrained: the duality gap at a face point, or the
-# relative objective decrease over a 50-iteration window, at most LASSO_TOL
-# times the objective; and an iteration cap past which it reports non-convergence
-LASSO_TOL = 1e-8
-LASSO_MAX_ITER = 200_000
-# accepted steps with one sign vector before the face solve tries it
-FACE_AFTER = 3
+# breakpoints past which lasso_constrained stops and reports non-convergence
+LASSO_MAX_ITER = 10_000
+# a column joins the path only while its squared distance from the span of
+# the active columns exceeds this share of its squared norm.  Nearer, the
+# active Gram matrix would get a condition number above 1 / sqrt(eps), and
+# its solves would keep fewer than half their digits.  An exact duplicate of
+# an active column lies at a distance of rounding size, about eps cond(G).
+_SPAN_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +65,8 @@ class LassoSolution:
     fixed_point_residual: float = 0.0
     duality_gap: float = 0.0
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # the rule that ended the loop: "gap", "window", "short" or "cap"
+    # where the path ended: on the sphere ||b||_1 = radius ("sphere"), at
+    # lam = 0 inside the ball ("interior"), or on the breakpoint cap ("cap")
     stop: str | None = None
 
 
@@ -88,166 +87,133 @@ def synth_response(X: DesignMatrix, beta: SparseVector, sigma: float,
 project_l1_ball = project_l1
 
 
-def _face_step(X, y, b, radius):
-    """The minimum of ||y - X beta||^2 on the face of the ball that holds b,
-    or None when it leaves that face.
-
-    The face keeps the support A of b and its signs s, so the l1 norm is
-    s^T beta there.  Where the ball binds at b, the face is the hyperplane
-    s^T beta = radius, written beta0 + B u: beta0 is its point nearest b_A
-    and B an orthonormal basis of s^perp (columns 2..m of the Householder
-    reflector that maps s/sqrt(m) to a multiple of e_1).  Elsewhere
-    beta0 = b_A and B = I.  u is the least-squares solution of
-    X_A B u = y - X_A beta0, from the eigendecomposition of (X_A B)^T X_A B,
-    which is singular when columns repeat or |A| > n: eigenvalues below
-    m eps times the largest count as zero, so u has minimum norm and ties
-    go to the point nearest beta0.  The point is returned, with its
-    residual X beta - y, only if it keeps every sign in s and lies in the
-    ball after a scale-back of rounding size.
-    """
-    A = np.flatnonzero(b)
-    m = A.size
-    if m == 0:
-        return None
-    s = np.sign(b[A])
-    XA = X[:, A]
-    beta = b[A]
-    eps = np.finfo(float).eps
-    if np.abs(beta).sum() >= (1.0 - np.sqrt(eps)) * radius:
-        beta = beta + (radius - float(s @ beta)) / m * s
-        v = s / np.sqrt(m)
-        v[0] += s[0]
-        B = np.eye(m)[:, 1:] - (2.0 / float(v @ v)) * np.outer(v, v[1:])
-    else:
-        B = np.eye(m)
-    XB = XA @ B
-    lam, V = np.linalg.eigh(XB.T @ XB)
-    keep = lam > m * eps * lam.max(initial=0.0)
-    V = V[:, keep]
-    beta = beta + B @ (V @ ((V.T @ (XB.T @ (y - XA @ beta))) / lam[keep]))
-    if not np.array_equal(np.sign(beta), s):
-        return None
-    l1 = float(np.abs(beta).sum())
-    if l1 > radius:
-        if l1 > radius * (1.0 + 4.0 * m * eps):
-            return None
-        beta *= radius / l1
-    out = np.zeros_like(b)
-    out[A] = beta
-    return out, XA @ beta - y
+def _steps(num, den):
+    """max(num, 0) / den where den > 0, inf elsewhere: the step lengths at
+    which quantities closing a gap num at rate den reach it.  A negative num
+    is a gap already closed, up to rounding, and gets step 0."""
+    out = np.full(num.shape, np.inf)
+    np.divide(np.maximum(num, 0.0), den, out=out, where=den > 0.0)
+    return out
 
 
 def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolution:
-    """Monotone FISTA with adaptive restart for the l1-constrained least squares
-    problem, finished by an exact solve on the face of its settled signs.
+    """The l1-constrained least squares solution, as the point of the Lasso
+    path where ||beta||_1 reaches ``radius``.
 
-    Starts from zero.  Each iteration takes a projected-gradient step from the
-    extrapolated point w to a candidate z, at one product with X^T and one with
-    X; w's residual follows from the kept ones by linearity.  A candidate
-    whose objective exceeds the kept one is rejected and the momentum reset,
-    so the next step is a plain projected-gradient step from the kept point.
-    The momentum also restarts when <w - z, z - b> > 0 for the kept point b.
+    The path starts at beta = 0 with lam = ||X^T y||_inf and the column that
+    attains it.  On each segment the active columns A, with signs s, keep
+    their correlations c_A = X_A^T (y - X beta) at s lam: beta_A moves along
+    d = (X_A^T X_A)^{-1} s, which lowers lam and raises ||beta||_1 = s^T beta_A
+    at the rates 1 and s^T d > 0.  A segment ends at the first event:
+    - an inactive column's |c_j| reaches lam, and it joins with the sign of
+      the side it reached;
+    - an active coordinate reaches 0, and it leaves;
+    - ||beta||_1 reaches the radius ("sphere");
+    - lam reaches 0 with the ball not binding ("interior"), where beta is
+      least squares on A.
+    Three rules keep the walk exact on degenerate designs.  Each active sign
+    stays as it was when its column joined, and lam is recomputed as the
+    mean of s c_A after every step: near lam = 0, c_A is rounding noise and
+    its own signs are not the path's.  A join step that rounding makes
+    negative is clamped to 0, so exact ties (such as c_0 = -c_1 at the start)
+    join at once.  A column within ``_SPAN_TOL`` of the active columns' span
+    never joins: its correlation stays at lam times a constant on the
+    segment, so it is either a tie that adds nothing (an exact duplicate) or
+    never reached, and it would make X_A^T X_A singular.  A drop re-admits
+    the refused columns.  ``iterations`` counts the segments plus the
+    closing step; past ``LASSO_MAX_ITER`` segments the walk stops ("cap").
 
-    Once the kept point has shown the same sign vector after
-    ``FACE_AFTER`` accepted steps, ``_face_step`` solves the problem on that
-    face exactly, once per sign vector (the active-set view; Osborne,
-    Presnell and Turlach 2000).  The face point replaces b when it keeps the
-    signs, lies in the ball and has no higher objective; that counts as an
-    iteration and enters the objective trace, and the momentum resets.  The
-    loop stops (``stop``) when the duality gap at an adopted face point is
-    at most ``LASSO_TOL`` times its objective ("gap"), when the relative
-    objective decrease over a 50-iteration window falls below ``LASSO_TOL``
-    ("window"), once a step is negligible ("short"), or at
-    ``LASSO_MAX_ITER`` ("cap").  One plain projected-gradient step from the
-    kept point then gives beta_hat; its length is the
-    ``fixed_point_residual`` and decides ``converged``.  The solution is
-    feasible either way.
+    One plain projected-gradient step from the path's end point then gives
+    beta_hat, which always lies in the ball.  Its step is 1/L for
+    L = ||X||_F^2 >= sigma_max(X)^2, a descent step for any such L, at one
+    pass over X.  The step's length is the ``fixed_point_residual``, and
+    ``converged`` holds when the walk did not hit the cap and that length is
+    at most 1e-6 (1 + ||beta_hat||).  The objective trace holds the
+    objective at every breakpoint and at beta_hat; it does not rise.
 
     ``duality_gap`` is the Frank-Wolfe gap g^T beta_hat + radius ||g||_inf of
     the objective f(b) = ||y - X b||^2 at beta_hat, g = grad f(beta_hat):
     f is convex, so f(beta_hat) - f(b) <= g^T (beta_hat - b) for every b in
     the ball, and the right side is at most the gap.  It bounds the
-    objective's distance to the optimum from one X^T r at beta_hat; the gap
-    stop applies the same bound at the face point.
+    objective's distance to the optimum from one X^T r at beta_hat.
     """
     if not radius >= 0:
         raise ValueError("radius must be non-negative, not NaN")
     X = instance.X.entries
     y = instance.y
-    if radius == 0.0:
-        obj = float(y @ y)
-        return LassoSolution(np.zeros(instance.X.n_cols), 0.0, obj, 0, True,
-                             objective_trace=np.array([obj]), stop="gap")
-
-    # sigma_max(X)^2 is the top eigenvalue of the smaller Gram matrix
-    gram = X @ X.T if X.shape[0] < X.shape[1] else X.T @ X
-    L = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-300)
-    step = 1.0 / L
-    b = np.zeros(instance.X.n_cols)
-    r = -y
-    obj = float(r @ r)
-    trace = [obj]
-    w, r_w = b, r
-    t = 1.0
-    window = 50
-    signs, settled, tried = np.sign(b), 0, None
-    stop = "cap"
+    d = instance.X.n_cols
+    b = np.zeros(d)
+    r = y.copy()
+    c = X.T @ y
+    lam = float(np.abs(c).max())
+    trace = [float(y @ y)]
+    active = np.zeros(d, dtype=bool)
+    refused = np.zeros(d, dtype=bool)
+    s = np.zeros(d)
+    stop = "sphere" if radius == 0.0 else "interior" if lam == 0.0 else None
+    if stop is None:
+        j = int(np.argmax(np.abs(c)))
+        active[j], s[j] = True, np.sign(c[j])
+    A = np.flatnonzero(active)
     it = 0
-    while it < LASSO_MAX_ITER:
-        z = project_l1(w - step * (X.T @ r_w), radius)
-        r_z = X @ z - y
-        obj_z = float(r_z @ r_z)
-        it += 1
-        short = float(np.linalg.norm(z - w)) <= 1e-9 * (1.0 + float(np.linalg.norm(z)))
-        if obj_z <= obj:
-            dz = z - b
-            if (w - z) @ dz > 0.0:
-                t, mom = 1.0, 0.0
-            else:
-                t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                t, mom = t_new, (t - 1.0) / t_new
-            w, r_w = z + mom * dz, r_z + mom * (r_z - r)
-            b, r, obj = z, r_z, obj_z
-            z_signs = np.sign(b)
-            settled = settled + 1 if np.array_equal(z_signs, signs) else 1
-            signs = z_signs
-        else:
-            t = 1.0
-            w, r_w = b, r
-        trace.append(obj)
-        if short:
-            stop = "short"
-            break
-        if it >= window:
-            prev = trace[-1 - window]
-            if prev - obj < LASSO_TOL * max(prev, 1e-300):
-                stop = "window"
+    while stop is None and it < LASSO_MAX_ITER:
+        XA, sA = X[:, A], s[A]
+        G = XA.T @ XA
+        dA = np.linalg.solve(G, sA)
+        u = XA @ dA
+        a = X.T @ u
+        t, event = max(lam, 0.0), "interior"
+        t_sphere = (radius - float(sA @ b[A])) / float(sA @ dA)
+        if t_sphere <= t:
+            t, event = max(t_sphere, 0.0), "sphere"
+        t_drop = _steps(sA * b[A], -sA * dA)
+        i = int(np.argmin(t_drop))
+        if t_drop[i] < t:
+            t, event = t_drop[i], "drop"
+        t_up, t_down = _steps(lam - c, 1.0 - a), _steps(lam + c, 1.0 + a)
+        t_join = np.minimum(t_up, t_down)
+        t_join[active | refused] = np.inf
+        while True:
+            j = int(np.argmin(t_join))
+            if not t_join[j] < t:
                 break
-        if settled >= FACE_AFTER and it < LASSO_MAX_ITER and not np.array_equal(signs, tried):
-            tried = signs
-            face = _face_step(X, y, b, radius)
-            obj_f = np.inf if face is None else float(face[1] @ face[1])
-            if obj_f <= obj:
-                (b, r), obj = face, obj_f
-                it += 1
-                trace.append(obj)
-                t, w, r_w = 1.0, b, r
-                g = X.T @ r
-                if 2.0 * (float(g @ b) + radius * float(np.abs(g).max())) <= LASSO_TOL * obj:
-                    stop = "gap"
-                    break
-    b_new = project_l1(b - step * (X.T @ r), radius)
+            xj = X[:, j]
+            v = XA.T @ xj
+            norm2 = float(xj @ xj)
+            if norm2 - float(v @ np.linalg.solve(G, v)) > _SPAN_TOL * norm2:
+                t, event = t_join[j], "join"
+                break
+            refused[j], t_join[j] = True, np.inf
+        b[A] += t * dA
+        r -= t * u
+        c -= t * a
+        it += 1
+        trace.append(float(r @ r))
+        if event == "drop":
+            b[A[i]], active[A[i]] = 0.0, False
+            refused[:] = False
+        elif event == "join":
+            active[j], s[j] = True, 1.0 if t_up[j] <= t_down[j] else -1.0
+        else:
+            stop = event
+        A = np.flatnonzero(active)
+        lam = float(s[A] @ c[A]) / A.size
+    stop = stop or "cap"
+
+    r = y - X[:, A] @ b[A]
+    # any L >= sigma_max(X)^2 makes 1/L a descent step
+    L = max(float(np.einsum("ij,ij->", X, X)), 1e-300)
+    b_new = project_l1(b + (X.T @ r) / L, radius)
     r = X @ b_new - y
     res = float(np.linalg.norm(b_new - b))
     trace.append(float(r @ r))
-    converged = res <= 1e-6 * (1.0 + float(np.linalg.norm(b_new)))
     g = 2.0 * (X.T @ r)
     return LassoSolution(
         beta_hat=b_new,
         radius=radius,
         objective=trace[-1],
         iterations=it + 1,
-        converged=converged,
+        converged=stop != "cap" and res <= 1e-6 * (1.0 + float(np.linalg.norm(b_new))),
         fixed_point_residual=res,
         duality_gap=float(g @ b_new) + radius * float(np.abs(g).max()),
         objective_trace=np.asarray(trace),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotlasso import SeedSpec, SupportSet, harness, rno_constant
+from rotlasso import SeedSpec, SupportSet, harness, lasso_constrained, rno_constant
 from rotlasso.harness import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -20,6 +20,8 @@ from rotlasso.harness import (
     max_rno_over_disjoint_pairs,
     run_experiment,
 )
+
+from conftest import dual_bound
 
 
 def mini_spec(name, grid, trials, seed=7):
@@ -187,10 +189,11 @@ def test_benchmark_pass_keeps_its_traced_calls(workload, bench_run, tmp_path):
         assert tracer.stats["certificates.partial_rotation_failure_rate"]["calls"] == 3
         assert tracer.stats["designs.partially_rotate"]["calls"] == 900
     if workload == "lasso-rate":
-        # every solve ends on a certified face point, at about 670 iterations
-        # a pass; the window rule alone takes about 2,200
+        # every solve ends on the sphere with a relative duality gap of at
+        # most 1e-8, at about 670 path segments a pass
         solves = [sol for _, sol in tracer.captures["lasso.lasso_constrained"]]
-        assert solves and all(sol.stop == "gap" for sol in solves)
+        assert solves and all(sol.stop == "sphere" for sol in solves)
+        assert all(sol.duality_gap <= 1e-8 * sol.objective for sol in solves)
         assert tracer.stats["lasso.lasso_constrained"]["iterations"] <= 1_000
 
 
@@ -235,6 +238,36 @@ class TestLassoRate:
             rows = run_experiment(spec)
             medians[n] = np.median([r.values["pred_error"] for r in rows])
         assert medians[400] <= medians[100]
+
+    def test_every_solve_of_an_off_benchmark_grid_is_exact(self, bench_run, monkeypatch):
+        # 320 solves over both designs, groups 1 and 8, rho 0 and 0.05, n < d
+        # and n > d, noiseless and noisy.  Each passes the benchmark's check,
+        # and its objective is within 1e-12 ||y||^2 (the objective at b = 0,
+        # a scale that also covers fits whose optimum is 0) of the dual lower
+        # bound at its own residual, so of the optimum.  The worst is 2.4e-14.
+        import checks
+
+        solves = []
+
+        def record(inst, radius):
+            sol = lasso_constrained(inst, radius)
+            solves.append((inst, radius, sol))
+            return sol
+
+        designs = [{"design": "semirandom"}] + [
+            {"groups": g, "rho": rho} for g in (1, 8) for rho in (0.0, 0.05)]
+        grid = [{"n": n, "d": d, "k": k, "sigma": sigma, **design}
+                for design in designs for n in (50, 200) for d in (64, 300)
+                for k in (2, 8) for sigma in (0.0, 1.0)]
+        monkeypatch.setattr(harness, "lasso_constrained", record)
+        run_experiment(mini_spec("lasso-rate", grid, 2))
+        assert len(solves) == 320
+        for inst, radius, sol in solves:
+            E, y = inst.X.entries, inst.y
+            assert checks.check_lasso(E, y, radius, sol.beta_hat, sol.objective_trace,
+                                      sol.fixed_point_residual, sol.converged) == []
+            assert sol.converged and sol.stop in ("sphere", "interior")
+            assert sol.objective - dual_bound(E, y, sol.beta_hat, radius) <= 1e-12 * float(y @ y)
 
     def test_rows_within_bound(self):
         spec = mini_spec("lasso-rate", [{"n": 100, "d": 64, "k": 4, "sigma": 1.0,

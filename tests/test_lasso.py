@@ -8,9 +8,11 @@ from scipy.optimize import minimize
 from rotlasso import (
     DesignMatrix,
     InvalidSupportError,
+    RegressionInstance,
     SeedSpec,
     SparseVector,
     SupportSet,
+    correlated_block_design,
     lasso_constrained,
     normalize_columns,
     parameter_errors,
@@ -20,7 +22,7 @@ from rotlasso import (
     synth_response,
 )
 
-from conftest import gaussian_design
+from conftest import dual_bound, gaussian_design
 
 
 def project_qp_oracle(v, radius):
@@ -198,6 +200,15 @@ class TestLassoConstrained:
         sol = lasso_constrained(inst, 0.0)
         assert_array_equal(sol.beta_hat, np.zeros(3))
         assert sol.objective == pytest.approx(float(inst.y @ inst.y), rel=1e-12)
+        assert sol.stop == "sphere" and sol.converged
+
+    def test_zero_response(self):
+        # X^T y = 0 at the start: the path is the single point beta = 0
+        X = gaussian_design(10, 3, seed=9)
+        sol = lasso_constrained(RegressionInstance(X, np.zeros(10)), 1.0)
+        assert_array_equal(sol.beta_hat, np.zeros(3))
+        assert sol.objective == 0.0 and sol.duality_gap == 0.0
+        assert sol.stop == "interior" and sol.converged
 
     @pytest.mark.parametrize("radius", [-1.0, float("nan")])
     def test_bad_radius_rejected(self, radius):
@@ -233,121 +244,129 @@ class TestLassoConstrained:
             bound = 4 * L * radius * sol.fixed_point_residual + 1e-9 * max(float(y @ y), 1.0)
             assert lasso_gap(E, y, sol.beta_hat, radius) <= bound
 
-    def test_solve_cut_short_on_a_rejected_candidate(self, monkeypatch):
-        # When the loop's last step rejects its candidate, that step did not
-        # start from the kept point b.  beta_hat must still be one plain
-        # projected-gradient step from b, of the reported length delta.
-        cases = []
-        for i, shape in ((1, (60, 20)), (3, (50, 400)), (4, (60, 20)), (30, (50, 400))):
-            X = gaussian_design(*shape, seed=700 + i)
-            beta = SparseVector(X.n_cols, ((0, 1.0), (1, -2.0), (3, 0.5)))
-            inst = synth_response(X, beta, 0.5, SeedSpec(17, i))
-            trace = lasso_constrained(inst, beta.norm_l1()).objective_trace
-            # a rejected candidate repeats the kept objective in the trace,
-            # here in the middle of the descent, before any face step
-            last = next(k for k in range(1, trace.size - 2)
-                        if trace[k - 1] == trace[k] > trace[k + 1])
-            cases.append((inst, beta.norm_l1(), last))
-        for inst, radius, last in cases:
-            monkeypatch.setattr(lasso, "LASSO_MAX_ITER", last)
+    def test_solve_cut_by_the_breakpoint_cap(self, monkeypatch, oracle_solves):
+        # A capped walk ends inside the ball, on the path but short of the
+        # radius.  beta_hat must still be one plain projected-gradient step
+        # from there, of the reported length delta, and not marked converged.
+        monkeypatch.setattr(lasso, "LASSO_MAX_ITER", 2)
+        cases = [case for case in oracle_solves if case[2].iterations > 3]
+        assert len(cases) >= 20
+        for inst, radius, full in cases:
             sol = lasso_constrained(inst, radius)
             t = sol.objective_trace
-            assert sol.stop == "cap"
-            assert sol.iterations == last + 1 and t[-2] == t[-3]
+            assert sol.stop == "cap" and not sol.converged
+            assert sol.iterations == 3 and t.size == 4
             E, y = inst.X.entries, inst.y
             L = float(np.linalg.svd(E, compute_uv=False)[0]) ** 2
+            Lstep = float(np.sum(E * E))
+            delta = sol.fixed_point_residual
             assert np.abs(sol.beta_hat).sum() <= radius * (1 + 1e-12)
-            bound = 4 * L * radius * sol.fixed_point_residual + 1e-9 * max(float(y @ y), 1.0)
+            # the step is 1/L' for L' = ||X||_F^2 >= L: projection optimality
+            # bounds <g(b), b+ - w> by L' delta 2r, and g(b+) - g(b) has norm
+            # at most L delta, so the gap at b+ is at most 2 r delta (L + L'),
+            # which is 4 L r delta at L' = L
+            bound = 2 * radius * delta * (L + Lstep) + 1e-9 * max(float(y @ y), 1.0)
             assert lasso_gap(E, y, sol.beta_hat, radius) <= bound
-            # descent lemma: a projected-gradient step of length delta with
-            # step 1/L lowers ||y - X b||^2 by at least L delta^2
+            # descent lemma: the step lowers ||y - X b||^2 by at least
+            # (2 L' - L) delta^2 >= L' delta^2
             slack = 8 * np.finfo(float).eps * max(t[0], 1.0)
-            assert t[-1] <= t[-2] - (1 - 1e-9) * L * sol.fixed_point_residual ** 2 + slack
+            assert t[-1] <= t[-2] - (1 - 1e-9) * Lstep * delta ** 2 + slack
+            assert t[-1] > full.objective * (1 + 1e-6)
 
     def test_matches_projected_gradient_reference(self, oracle_solves):
         for inst, radius, sol in oracle_solves:
             assert sol.converged
             ref = pg_reference(inst.X.entries, inst.y, radius)
-            # every solve ends on a face point or a vertex, within 1.7e-15 of
-            # the reference here; the window rule alone stopped within 1.2e-11
+            # every solve ends on the path's exact point, within 2e-15 of
+            # the reference here
             assert sol.objective <= ref * (1 + 1e-12)
             # the reported duality gap bounds the distance to the optimum, so
             # to the reference too, up to the reference's rounding
             assert sol.objective - ref <= sol.duality_gap + 1e-13 * ref
 
     def test_duplicated_columns_converge(self):
-        # rank-deficient design: the projection still identifies a minimizer
+        # rank-deficient design: the copy of an active column never joins the path
         rng = np.random.default_rng(15)
         col = rng.standard_normal((20, 1))
         X = DesignMatrix(np.hstack([rng.standard_normal((20, 2)), col, col]))
-        from rotlasso import normalize_columns
         X = normalize_columns(X)
         beta = SparseVector(4, ((0, 1.0), (2, 1.0)))
         inst = synth_response(X, beta, 0.2, SeedSpec(3))
-        sol = lasso_constrained(inst, radius=beta.norm_l1())
-        grid = lasso_grid_oracle(X.entries, inst.y, sol.radius, stages=14)
-        assert abs(sol.objective - grid) <= 1e-5 * max(1.0, grid)
-        # both copies stay in the face, whose least squares is rank deficient,
-        # and the face point still certifies
-        assert np.all(sol.beta_hat != 0.0)
-        assert sol.stop == "gap"
-        assert sol.duality_gap <= lasso.LASSO_TOL * sol.objective
+        for radius, stop in ((1.0, "sphere"), (beta.norm_l1(), "interior")):
+            sol = lasso_constrained(inst, radius)
+            grid = lasso_grid_oracle(X.entries, inst.y, sol.radius, stages=14)
+            assert abs(sol.objective - grid) <= 1e-5 * max(1.0, grid)
+            assert sol.stop == stop and sol.converged
+            assert sol.duality_gap <= 1e-8 * sol.objective
+        # at ||beta||_1 the ball does not bind: the two copies together carry
+        # the least-squares coefficient of their shared column
+        b_ls = np.linalg.lstsq(X.entries[:, :3], inst.y)[0]
+        merged = sol.beta_hat[:3] + [0.0, 0.0, sol.beta_hat[3]]
+        assert_allclose(merged, b_ls, rtol=0, atol=1e-12)
 
     def test_radius_above_the_least_squares_norm(self):
-        # the ball does not bind: the face solve is plain least squares on the support
-        X = gaussian_design(60, 20, seed=40)
+        # the ball does not bind: the path ends at lam = 0, on least squares
         beta = SparseVector(20, ((0, 1.0), (1, -2.0), (3, 0.5)))
-        inst = synth_response(X, beta, 0.5, SeedSpec(5))
-        b_ls = np.linalg.lstsq(X.entries, inst.y)[0]
-        r_ls = X.entries @ b_ls - inst.y
-        for factor in (1.01, 2.0):
-            sol = lasso_constrained(inst, factor * float(np.abs(b_ls).sum()))
-            assert sol.stop == "gap" and sol.converged
-            assert sol.objective <= float(r_ls @ r_ls) * (1 + 1e-12)
-            assert_allclose(sol.beta_hat, b_ls, rtol=0, atol=1e-12)
+        for seed in range(40, 45):
+            X = gaussian_design(60, 20, seed=seed)
+            inst = synth_response(X, beta, 0.5, SeedSpec(5))
+            b_ls = np.linalg.lstsq(X.entries, inst.y)[0]
+            r_ls = X.entries @ b_ls - inst.y
+            for factor in (1.0001, 1.01, 2.0):
+                sol = lasso_constrained(inst, factor * float(np.abs(b_ls).sum()))
+                assert sol.stop == "interior" and sol.converged
+                assert sol.objective <= float(r_ls @ r_ls) * (1 + 1e-12)
+                assert_allclose(sol.beta_hat, b_ls, rtol=0, atol=1e-12)
 
-    def test_a_face_minimum_off_its_face_is_refused(self):
-        # y = (2, -1) under X = I: least squares on the face of b = (0.5, 0.5)
-        # is y itself, inside the ball but with the second sign flipped
-        X, y = np.eye(2), np.array([2.0, -1.0])
-        assert lasso._face_step(X, y, np.array([0.5, 0.5]), 10.0) is None
-        # b = (0.5, -0.2) lies inside the ball of radius 1, and its face's
-        # least squares y keeps the signs but has l1 norm 3
-        assert lasso._face_step(X, y, np.array([0.5, -0.2]), 1.0) is None
-        # a face that keeps its signs and the ball is solved exactly
-        point, residual = lasso._face_step(X, y, np.array([0.5, -0.5]), 10.0)
-        assert_allclose(point, y, rtol=0, atol=1e-15)
-        assert_allclose(residual, 0.0, atol=1e-15)
+    def test_radius_above_the_min_l1_interpolant(self):
+        # n < d: the path ends on the interpolant of least l1 norm m, which
+        # linprog finds apart from the path (HiGHS holds its constraints to
+        # 1e-7).  Above m any interpolant in the ball is optimal; below, the
+        # sphere binds.
+        from scipy.optimize import linprog
 
-    def test_a_binding_face_is_solved_on_the_sphere(self):
-        # ||b||_1 is 3 (1 - 1e-9), within rounding of the radius 3 as the
-        # projection leaves it: the face is s^T beta = 3, whose point nearest
-        # y = (2, 2, 2) is (1, 1, 1)
-        X, y = np.eye(3), np.full(3, 2.0)
-        point, residual = lasso._face_step(X, y, np.array([1.0, 1.0, 1.0 - 3e-9]), 3.0)
-        assert_allclose(point, np.ones(3), rtol=0, atol=1e-15)
-        assert_allclose(residual, point - y, rtol=0, atol=1e-15)
-        # a one-column face is the vertex radius * s
-        point, _ = lasso._face_step(X, y, np.array([0.0, -0.5, 0.0]), 0.5)
-        assert_array_equal(point, [0.0, -0.5, 0.0])
+        X = gaussian_design(20, 60, seed=3)
+        beta = SparseVector(60, ((0, 1.0), (1, -2.0), (3, 0.5)))
+        inst = synth_response(X, beta, 0.5, SeedSpec(9))
+        E, y = X.entries, inst.y
+        lp = linprog(np.ones(120), A_eq=np.hstack([E, -E]), b_eq=y, bounds=(0, None))
+        m = lp.fun
+        sol = lasso_constrained(inst, 1.5 * m)
+        assert sol.stop == "interior" and sol.converged
+        assert sol.objective <= 1e-12 * float(y @ y)
+        assert np.abs(sol.beta_hat).sum() <= m * (1 + 1e-6)
+        sol = lasso_constrained(inst, 0.9 * m)
+        assert sol.stop == "sphere" and sol.converged
+        assert sol.objective > 1e-6 * float(y @ y)
+        assert sol.objective - dual_bound(E, y, sol.beta_hat, 0.9 * m) <= 1e-12 * float(y @ y)
 
-    def test_a_face_point_above_the_kept_objective_is_refused(self, monkeypatch, oracle_solves):
-        # a face step that offered the kept point pulled halfway to zero,
-        # which keeps its signs and the ball, must not be adopted
-        offered = []
-
-        def worse(X, y, b, radius):
-            offered.append(b)
-            return 0.5 * b, X @ (0.5 * b) - y
-
-        monkeypatch.setattr(lasso, "_face_step", worse)
-        for inst, radius, ref in oracle_solves[:12]:
+    def test_a_start_of_path_tie_joins_at_once(self):
+        # y = x_0 - x_1 on a design whose off-support columns share one
+        # direction: at the start c_0 = -c_1 = ||X^T y||_inf, so x_1 must join
+        # with the first step, and the solution is (r/2, -r/2, 0, ...)
+        X = correlated_block_design(40, 10, SupportSet(10, (0, 1)), 1, 0.0, SeedSpec(12))
+        E = X.entries
+        y = E[:, 0] - E[:, 1]
+        inst = RegressionInstance(X, y)
+        for radius in (0.5, 1.0, 2.0, 3.0):
             sol = lasso_constrained(inst, radius)
-            slack = 8 * np.finfo(float).eps * max(sol.objective_trace[0], 1.0)
-            assert np.all(np.diff(sol.objective_trace) <= slack)
-            assert sol.stop != "gap"
-            assert sol.objective <= ref.objective * (1 + 1e-9)
-        assert offered
+            h = min(radius, 2.0) / 2
+            assert_allclose(sol.beta_hat, [h, -h] + [0.0] * 8, rtol=0, atol=1e-12)
+            assert sol.converged and sol.duality_gap <= 1e-12 * float(y @ y)
+
+    def test_a_mid_path_tie_joins_at_once(self):
+        # orthogonal columns and y = X z with z = (3, 1, 1, -1, 0, 0): after
+        # x_0, three columns reach lam together, and whichever joins second
+        # or third finds its step negative by rounding on some designs.  The
+        # solution is z soft-thresholded by 1/4, where its l1 norm is 5.
+        z = np.array([3.0, 1.0, 1.0, -1.0, 0.0, 0.0])
+        want = np.sign(z) * np.maximum(np.abs(z) - 0.25, 0.0)
+        for seed in range(20):
+            Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((20, 6)))
+            X = DesignMatrix(Q * math.sqrt(20))
+            sol = lasso_constrained(RegressionInstance(X, X.entries @ z), 5.0)
+            assert sol.stop == "sphere" and sol.converged
+            assert_allclose(sol.beta_hat, want, rtol=0, atol=1e-12)
 
 
 class TestErrorMetrics:

@@ -9,28 +9,20 @@ import numpy as np
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of v onto {w : ||w||_1 <= radius}."""
-    if not radius >= 0:
-        raise ValueError("radius must be non-negative, not NaN")
     v = np.asarray(v, dtype=np.float64)
-    if radius == 0.0:
-        return np.zeros_like(v)
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    theta = _l1_threshold(a[:, None], [radius], 0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    return project_l1_columns(v[:, None], np.array([radius], dtype=np.float64))[:, 0]
 
 
 def project_l1_columns(V: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Project each column of V onto the l1 ball of its own radius.
 
-    Vectorized over columns, with the arithmetic of ``project_l1``.  Most
-    calls from the solvers find every column inside its ball, so that test
-    comes first: such a call costs one reduction and returns a copy, with
-    only radius-0 columns (whose entries are then signed zeros) rewritten as
-    +0.0.  A negative or NaN radius always fails the test, so the radii are
-    validated on the other path only.  On that path, columns already inside
-    their ball are copied, and the rest go through one batched sort.
+    ``project_l1`` is its one-column case.  Most calls from the solvers find
+    every column inside its ball, so that test comes first: such a call
+    costs one reduction and returns a copy, with only radius-0 columns (whose
+    entries are then signed zeros) rewritten as +0.0.  A negative or NaN
+    radius always fails the test, so the radii are validated on the other
+    path only.  On that path, columns already inside their ball are copied,
+    and the rest go through one batched sort.
     """
     V = np.asarray(V, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)

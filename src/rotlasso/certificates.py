@@ -48,7 +48,6 @@ on that face and in the cone and its objective is no higher.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from math import comb
@@ -785,10 +784,32 @@ def _sampled_subsets(rng, pool, s, count):
 
 
 def _combinations(pool, s):
-    """Every s-subset of ``pool``, one row each, in itertools order."""
-    count = comb(len(pool), s)
-    flat = itertools.chain.from_iterable(itertools.combinations(pool, s))
-    return np.fromiter(flat, np.intp, count=count * s).reshape(count, s)
+    """Every s-subset of ``pool``, 1 <= s <= len(pool), one row each, in the
+    lexicographic order of positions that ``itertools.combinations`` uses.
+
+    The rows are filled one column at a time.  Column k lists, in order,
+    every prefix's next position: a prefix ending at p goes on with
+    p + 1, ..., m - s + k, a run that a cumulative sum of ones builds.  Each
+    position q in column k then begins C(m - 1 - q, s - 1 - k) rows, one in
+    the last column.
+    """
+    pool = np.asarray(pool, dtype=np.intp)
+    m = pool.size
+    level = np.arange(m - s + 1)
+    rows = np.empty((comb(m, s), s), dtype=np.intp)
+    for k in range(s):
+        if k:
+            counts = m - s + k - level
+            steps = np.ones(int(counts.sum()), dtype=np.intp)
+            steps[np.cumsum(counts[:-1])] = level[1:] + 1 - (m - s + k)
+            steps[0] = level[0] + 1
+            level = np.cumsum(steps, out=steps)
+        if k == s - 1:
+            rows[:, k] = pool[level]
+        else:
+            ways = np.array([comb(m - 1 - q, s - 1 - k) for q in range(m)])
+            rows[:, k] = np.repeat(pool[level], ways[level])
+    return rows
 
 
 def rno_constant(X: DesignMatrix, S: SupportSet, s: int,

@@ -8,14 +8,17 @@ reaches the radius, or the path's end where the ball does not bind.  The
 solver walks the path from beta = 0 one breakpoint at a time (the homotopy of
 Osborne, Presnell and Turlach 2000; the LARS-lasso of Efron, Hastie,
 Johnstone and Tibshirani 2004) and finds that point in closed form on its
-segment.  It closes with one plain projected-gradient step, whose length is
-a checkable fixed-point optimality residual, and reports the Frank-Wolfe
-duality gap (Jaggi 2013) at its end point, a bound on its objective's
-distance to the optimum.
+segment.  Each segment's direction comes from a thin QR factor of the active
+columns, bordered by Gram-Schmidt when a column joins (Daniel, Gragg, Kaufman
+and Stewart 1976) and rebuilt when one leaves.  It closes with one plain
+projected-gradient step, whose length is a checkable fixed-point optimality
+residual, and reports the Frank-Wolfe duality gap (Jaggi 2013) at its end
+point, a bound on its objective's distance to the optimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +37,11 @@ from .core import (
 LASSO_MAX_ITER = 10_000
 # a column joins the path only while its squared distance from the span of
 # the active columns exceeds this share of its squared norm, a distance of
-# 1e-6 of its norm.  A column in the span lies at a computed distance of about
-# eps cond(X_A) of its norm, far below that while cond(X_A) < 1e9; a column
-# nearer than that would put cond(X_A) above 1e6, where solves with the
-# active Gram matrix, of condition cond(X_A)^2, keep fewer than 4 digits.
+# 1e-6 of its norm.  The distance is the norm of the column's Gram-Schmidt
+# residual against the orthonormal factor Q, computed with an error of about
+# eps ||x_j||, whatever cond(X_A): a column in the span reads about eps of its
+# norm, and one at 1e-6 reads it to 10 digits.  Each join at a relative
+# distance rho multiplies cond(X_A) by up to about 1 / rho.
 _SPAN_TOL = 1e-12
 
 
@@ -92,9 +96,56 @@ def _steps(num, den):
     """max(num, 0) / den where den > 0, inf elsewhere: the step lengths at
     which quantities closing a gap num at rate den reach it.  A negative num
     is a gap already closed, up to rounding, and gets step 0."""
-    out = np.full(num.shape, np.inf)
+    out = np.empty(num.shape)
+    out.fill(np.inf)
     np.divide(np.maximum(num, 0.0), den, out=out, where=den > 0.0)
     return out
+
+
+class _ActiveFactor:
+    """A thin QR factor X_A = Q R of the active columns in join order, kept
+    as the rows of Q^T and the upper triangular R^{-1}.  Their capacity
+    doubles as columns join, so they hold O(n |A|) entries."""
+
+    def __init__(self, n: int):
+        self.k = 0
+        self.Qt = np.empty((0, n))
+        self.Rinv = np.empty((0, 0))
+
+    def residual(self, x):
+        """(e, v) with x = Q v + e and e orthogonal to the span of Q, by
+        classical Gram-Schmidt run twice (Daniel, Gragg, Kaufman and Stewart
+        1976): the second pass leaves e orthogonal to Q to rounding, with an
+        error of about eps ||x||."""
+        Qt = self.Qt[:self.k]
+        v = Qt @ x
+        e = x - Qt.T @ v
+        v2 = Qt @ e
+        e -= Qt.T @ v2
+        return e, v + v2
+
+    def refactor(self, XA):
+        """Replace the factor by one of the columns of XA, in their order, from
+        a Householder QR (its R may have negative diagonal entries)."""
+        Q, R = np.linalg.qr(XA)
+        self.Qt, self.Rinv, self.k = Q.T.copy(), np.linalg.inv(R), XA.shape[1]
+
+    def append(self, e, v):
+        """Border the factor with a column x = Q v + e, e != 0: with
+        rho = ||e||, Q gains e / rho, and R^{-1} gains the column
+        (-R^{-1} v / rho, 1 / rho)."""
+        k = self.k
+        if k == self.Qt.shape[0]:
+            cap = max(2 * k, 1)
+            Qt, Rinv = np.empty((cap, e.size)), np.empty((cap, cap))
+            Qt[:k], Rinv[:k, :k] = self.Qt[:k], self.Rinv[:k, :k]
+            self.Qt, self.Rinv = Qt, Rinv
+        rho = math.sqrt(float(e @ e))
+        self.Qt[k] = e / rho
+        self.Rinv[:k, k] = (self.Rinv[:k, :k] @ v) / -rho
+        self.Rinv[k, :k] = 0.0
+        self.Rinv[k, k] = 1.0 / rho
+        self.k = k + 1
 
 
 def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolution:
@@ -105,7 +156,13 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     attains it.  On each segment the active columns A, with signs s, keep
     their correlations c_A = X_A^T (y - X beta) at s lam: beta_A moves along
     d = (X_A^T X_A)^{-1} s, which lowers lam and raises ||beta||_1 = s^T beta_A
-    at the rates 1 and s^T d > 0.  A segment ends at the first event:
+    at the rates 1 and s^T d > 0.  The walk keeps a thin QR factor X_A = Q R,
+    in join order, as Q and R^{-1}.  With w = R^{-T} s it takes d = R^{-1} w,
+    the fit's direction X_A d = Q w and the rate s^T d = ||w||^2, which
+    rounding cannot make negative; it forms no X_A^T X_A.  A join borders the
+    factor by the column's Gram-Schmidt residual against Q, and a drop
+    rebuilds it from the remaining columns.  A segment ends at the first
+    event:
     - an inactive column's |c_j| reaches lam, and it joins with the sign of
       the side it reached;
     - an active coordinate reaches 0, and it leaves;
@@ -119,13 +176,14 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     negative is clamped to 0, so exact ties (such as c_0 = -c_1 at the start)
     join at once.  A column in the span of the active columns never joins:
     none once n columns are active, and none within ``_SPAN_TOL`` of the
-    span, which is refused until the next drop.  A column in the span has a
-    correlation of lam times a constant on the segment, so it is either a tie
-    that adds nothing (an exact duplicate) or never reached, and it would
-    make X_A^T X_A singular.  A column only near the span may be one the
-    optimum needs; the end point is then off the optimum, and ``converged``
-    below reports it.  ``iterations`` counts the segments plus the closing
-    step; past ``LASSO_MAX_ITER`` segments the walk stops ("cap").
+    span, measured by its Gram-Schmidt residual, which is refused until the
+    next drop.  A column in the span has a correlation of lam times a
+    constant on the segment, so it is either a tie that adds nothing (an
+    exact duplicate) or never reached, and it would make R singular.  A
+    column only near the span may be one the optimum needs; the end point is
+    then off the optimum, and ``converged`` below reports it.  ``iterations``
+    counts the segments plus the closing step; past ``LASSO_MAX_ITER``
+    segments the walk stops ("cap").
 
     One plain projected-gradient step from the path's end point then gives
     beta_hat, which always lies in the ball.  Its step is 1/L' for
@@ -155,66 +213,80 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     X = instance.X.entries
     y = instance.y
     n, d = X.shape
-    b = np.zeros(d)
     r = y.copy()
     c = X.T @ y
     lam = float(np.abs(c).max())
     trace = [float(y @ y)]
-    active = np.zeros(d, dtype=bool)
-    refused = np.zeros(d, dtype=bool)
-    s = np.zeros(d)
+    norms = np.einsum("ij,ij->j", X, X)  # squared column norms
+    # the first k entries hold the active columns in join order, their signs
+    # and their coefficients; closed marks the active and the refused columns
+    size = min(n, d)
+    cols, signs, coefs = np.zeros(size, dtype=np.intp), np.zeros(size), np.zeros(size)
+    closed = np.zeros(d, dtype=bool)
+    F = _ActiveFactor(n)
+    # a column j joins where c_j - t a_j reaches lam - t (row 0) or t - lam (row 1)
+    sides = np.array([[1.0], [-1.0]])
+    k = 0
     stop = "sphere" if radius == 0.0 else "interior" if lam == 0.0 else None
     if stop is None:
         j = int(np.argmax(np.abs(c)))
-        active[j], s[j] = True, np.sign(c[j])
-    A = np.flatnonzero(active)
+        cols[0], signs[0], closed[j], k = j, np.sign(c[j]), True, 1
+        F.append(*F.residual(X[:, j]))
     it = 0
     while stop is None and it < LASSO_MAX_ITER:
-        XA, sA = X[:, A], s[A]
-        G = XA.T @ XA
-        dA = np.linalg.solve(G, sA)
-        u = XA @ dA
-        a = X.T @ u
+        A, sA, bA = cols[:k], signs[:k], coefs[:k]
+        Rinv = F.Rinv[:k, :k]
+        w = sA @ Rinv
+        dA = Rinv @ w
+        u = w @ F.Qt[:k]
+        a = u @ X
         t, event = max(lam, 0.0), "interior"
-        t_sphere = (radius - float(sA @ b[A])) / float(sA @ dA)
+        t_sphere = (radius - float(sA @ bA)) / float(w @ w)
         if t_sphere <= t:
             t, event = max(t_sphere, 0.0), "sphere"
-        t_drop = _steps(sA * b[A], -sA * dA)
-        i = int(np.argmin(t_drop))
+        t_drop = _steps(sA * bA, -sA * dA)
+        i = int(t_drop.argmin())
         if t_drop[i] < t:
             t, event = t_drop[i], "drop"
-        t_up, t_down = _steps(lam - c, 1.0 - a), _steps(lam + c, 1.0 + a)
-        t_join = np.minimum(t_up, t_down)
-        t_join[active | refused] = np.inf
+        t_side = _steps(lam - sides * c, 1.0 - sides * a)
+        t_join = t_side.min(axis=0)
+        t_join[closed] = np.inf
         while True:
-            j = int(np.argmin(t_join))
-            if not t_join[j] < t or A.size == n:
+            j = int(t_join.argmin())
+            if not t_join[j] < t or k == n:
                 break
-            xj = X[:, j]
-            e = xj - XA @ np.linalg.solve(G, XA.T @ xj)
-            if float(e @ e) > _SPAN_TOL * float(xj @ xj):
+            e, v = F.residual(X[:, j])
+            if float(e @ e) > _SPAN_TOL * norms[j]:
                 t, event = t_join[j], "join"
                 break
-            refused[j], t_join[j] = True, np.inf
-        b[A] += t * dA
+            closed[j], t_join[j] = True, np.inf
+        bA += t * dA
         r -= t * u
         c -= t * a
         it += 1
         trace.append(float(r @ r))
         if event == "drop":
-            b[A[i]], active[A[i]] = 0.0, False
-            refused[:] = False
+            k -= 1
+            cols[i:k], signs[i:k], coefs[i:k] = A[i + 1:], sA[i + 1:], bA[i + 1:]
+            closed[:] = False
+            closed[cols[:k]] = True
+            F.refactor(X[:, cols[:k]])
         elif event == "join":
-            active[j], s[j] = True, 1.0 if t_up[j] <= t_down[j] else -1.0
+            cols[k], coefs[k], closed[j] = j, 0.0, True
+            signs[k] = 1.0 if t_side[0, j] <= t_side[1, j] else -1.0
+            F.append(e, v)
+            k += 1
         else:
             stop = event
-        A = np.flatnonzero(active)
-        lam = float(s[A] @ c[A]) / A.size
+        lam = float(signs[:k] @ c[cols[:k]]) / k
     stop = stop or "cap"
 
-    r = y - X[:, A] @ b[A]
+    A, bA = cols[:k], coefs[:k]
+    b = np.zeros(d)
+    b[A] = bA
+    r = y - X[:, A] @ bA
     # any L >= sigma_max(X)^2 makes 1/L a descent step
-    L = max(float(np.einsum("ij,ij->", X, X)), 1e-300)
+    L = max(float(norms.sum()), 1e-300)
     b_new = project_l1(b + (X.T @ r) / L, radius)
     r = X @ b_new - y
     res = float(np.linalg.norm(b_new - b))

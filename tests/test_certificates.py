@@ -41,6 +41,7 @@ from rotlasso.cli import main as cli_main
 from rotlasso.certificates import (
     _DESCENT_CAP,
     ConeSpec,
+    _combinations,
     _descend,
     _rip_clear_margin,
     _rip_cleared,
@@ -643,6 +644,22 @@ class TestRnoConstant:
         X = gaussian_design(30, 8, seed=2)
         with pytest.raises(ValueError, match="sample_pairs"):
             rno_constant(X, SupportSet(8, (0, 1, 2)), 2, sample_pairs=count)
+
+
+class TestCombinations:
+    @pytest.mark.parametrize("d, s", [(5, 1), (7, 7), (10, 4), (18, 3), (20, 6)])
+    def test_matches_itertools(self, d, s):
+        want = np.array(list(itertools.combinations(range(d), s)), dtype=np.intp)
+        got = _combinations(range(d), s)
+        assert got.dtype == np.intp and got.shape == (comb(d, s), s)
+        np.testing.assert_array_equal(got, want)
+
+    def test_non_contiguous_pool(self):
+        # the complement of a support, as rno_constant enumerates it
+        pool = SupportSet(20, (2, 5, 6, 11, 19)).complement().indices
+        for s in (1, 3, 15):
+            want = np.array(list(itertools.combinations(pool, s)), dtype=np.intp)
+            np.testing.assert_array_equal(_combinations(pool, s), want)
 
 
 def _oracle_designs():

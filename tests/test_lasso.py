@@ -372,6 +372,56 @@ class TestLassoConstrained:
             assert sol.stop == "sphere" and sol.converged
             assert_allclose(sol.beta_hat, want, rtol=0, atol=1e-12)
 
+    def test_a_path_that_drops_a_coordinate(self):
+        # n = 20 < d = 40: on these paths a coordinate leaves the active set
+        # before the sphere at radius 5.  One that is nonzero at a smaller
+        # radius and 0 at radius 5 left on the way, so the walk to radius 5
+        # took a drop, rebuilt its factor, and went on to the sphere.
+        beta = SparseVector(40, ((0, 1.0), (1, -2.0), (3, 0.5), (5, 1.5)))
+        for seed in (1, 2, 11, 14, 17, 21, 23, 24):
+            X = gaussian_design(20, 40, seed=seed)
+            inst = synth_response(X, beta, 0.5, SeedSpec(31, seed))
+            sol = lasso_constrained(inst, 5.0)
+            yy = float(inst.y @ inst.y)
+            assert sol.stop == "sphere" and sol.converged
+            assert sol.objective - dual_bound(X.entries, inst.y, sol.beta_hat, 5.0) <= 1e-12 * yy
+            earlier = np.zeros(40)
+            for radius in np.linspace(0.25, 4.75, 19):
+                earlier = np.maximum(earlier, np.abs(lasso_constrained(inst, radius).beta_hat))
+            assert np.any((earlier > 1e-3) & (sol.beta_hat == 0.0))
+
+    def test_an_ill_conditioned_interior_end_matches_least_squares(self):
+        # the 14 normalized monomials t^0 .. t^13 at 50 points of [-1, 1],
+        # cond(X) 2.6e4 to 9.3e4, and a radius twice the least-squares l1
+        # norm: the walk ends at lam = 0 with every column active, on least
+        # squares.  With its directions taken from a QR factor of X_A it ends
+        # within 2.5e-10 of np.linalg.lstsq here, against 1.4e-8 with
+        # directions solved on X_A^T X_A and 1.2e-7 with a factor built by one
+        # Gram-Schmidt pass, whose Q loses orthogonality.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            t = np.sort(rng.uniform(-1.0, 1.0, 50))
+            X = normalize_columns(DesignMatrix(np.vander(t, 14, increasing=True)))
+            y = np.sin(3.0 * t) + 0.1 * rng.standard_normal(50)
+            b_ls = np.linalg.lstsq(X.entries, y)[0]
+            sol = lasso_constrained(RegressionInstance(X, y), 2.0 * float(np.abs(b_ls).sum()))
+            assert sol.stop == "interior" and sol.converged
+            assert_allclose(sol.beta_hat, b_ls, rtol=0, atol=1e-9 * float(np.abs(b_ls).max()))
+
+    def test_a_near_singular_active_set_ends_inside(self):
+        # eight support columns within a relative distance of about 1e-5 of
+        # one another, y = X beta exactly, and a radius three times ||beta||_1:
+        # the walk reaches lam = 0 inside the ball.  Its sphere rate
+        # s^T d = ||R^{-T} s||^2 cannot be negative, so rounding on the
+        # near-singular active set cannot make the sphere's step negative and
+        # end the walk on it with ||beta||_1 near 8.
+        S = SupportSet(64, tuple(range(8)))
+        beta = SparseVector(64, tuple((i, (-1.0) ** (i + 1)) for i in range(8)))
+        X = correlated_block_design(50, 64, S, 1, 1e-5, SeedSpec(9))
+        sol = lasso_constrained(synth_response(X, beta, 0.0, SeedSpec(109)), 24.0)
+        assert sol.stop == "interior" and sol.converged
+        assert np.abs(sol.beta_hat).sum() < 24.0
+
     @pytest.mark.parametrize("rho", [1e-4, 1e-5])
     def test_near_collinear_columns_join(self, rho):
         # eight groups of columns at relative distances of about rho from one

@@ -16,10 +16,11 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
 def project_l1_columns(V: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Project each column of V onto the l1 ball of its own radius.
 
-    ``project_l1`` is its one-column case.  Most calls from the solvers find
-    every column inside its ball, so that test comes first: such a call
-    costs one reduction and returns a copy, with only radius-0 columns (whose
-    entries are then signed zeros) rewritten as +0.0.  A negative or NaN
+    Its one caller is ``project_l1``, its one-column case, which the
+    benchmark's tracer also reads under this name.  The test that every
+    column lies inside its ball comes first: such a call costs one reduction
+    and returns a copy, with only radius-0 columns (whose entries are then
+    signed zeros) rewritten as +0.0.  A negative or NaN
     radius always fails the test, so the radii are validated on the other
     path only.  On that path, columns already inside their ball are copied,
     and the rest go through one batched sort.

@@ -24,12 +24,12 @@ one exact solve on the face of the cone that holds its best point.  Each
 step of the descent maps back by the exact Euclidean projection onto the
 convex piece of the cone around the point the step starts from, so a
 finished descent is stationary.  Mode gamma with the cone on S' itself
-starts it from the 8 best of a set of unit directions of the cone block,
-each with its inner minimiser over the off-support l1 ball, solved to a
-coarse tolerance; the multistart takes the restarts' directions, and on
-small instances with at most 3 certified coordinates the independent
-oracle, which never takes the closed form, takes a 2 degree angular grid.
-Every other case (mode gamma', or a cone larger than S') starts it from 64
+starts it from a set of unit directions of the cone block, with the
+off-support block at 0, and keeps the 8 lowest of them after its first 20
+iterations; the multistart takes the restarts' directions, and on small
+instances with at most 3 certified coordinates the independent oracle,
+which never takes the closed form, takes a 2 degree angular grid.  Every
+other case (mode gamma', or a cone larger than S') descends from all of 64
 and more restarts.
 
 The descent stops on a certificate: once the best column's fixed-point
@@ -37,14 +37,14 @@ residual is at most sqrt(u) lambda_max(G), u the unit roundoff.  The
 objective is second order in that residual at a stationary point, so the
 tolerance leaves the value within rounding, times the local condition
 number, of a descent run to the end (``_descend`` gives the derivation).
-Otherwise it stops at ``_DESCENT_CAP`` iterations, and every inner solve at
-``_INNER_CAP``; the report says which rule stopped the descent, and a
-search is ``converged`` only when the residual test passed.  On the face of
-its best point, where the signs are fixed, both l1 norms are linear, so the
-minimum there is one linear constraint and one small eigenproblem
-(``_face_solve``): the active-set view of the constrained Lasso (Osborne,
-Presnell and Turlach 2000).  Its point replaces the descent's when it stays
-on that face and in the cone and its objective is no higher.
+Otherwise it stops at ``_DESCENT_CAP`` iterations; the report says which
+rule stopped the descent.  On the face of its best point, where the signs
+are fixed, both l1 norms are linear, so the minimum there is one linear
+constraint and one small eigenproblem (``_face_solve``): the active-set
+view of the constrained Lasso (Osborne, Presnell and Turlach 2000).  Its
+point replaces the descent's when it stays on that face and in the cone and
+its objective is no higher.  A search is ``converged`` when the point it
+returns, the face's or the descent's, passes the same residual test.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from math import comb
 
 import numpy as np
 
-from ._projection import project_l1_columns, project_l1_cone_columns
+from ._projection import project_l1_cone_columns
 from .core import (
     BASIS_RANK_RTOL,
     DegenerateInputError,
@@ -75,12 +75,8 @@ DEFAULT_ENUM_CAP = 1_000_000
 # of ``_pair_values_max``
 _BASIS_CHUNK = 2048
 _CHUNK_PAIRS = 200_000
-# iteration caps of every inner solve and of every descent; a solve that
-# reaches its cap reports that it did not converge
-_INNER_CAP = 100_000
+# iteration cap of every descent
 _DESCENT_CAP = 6_000
-# coarse relative residual of the inner solve, which only ranks mode gamma's starts
-_INNER_TOL = 1e-5
 # fixed so that certificates are reproducible when the caller passes no seed
 DEFAULT_SOLVER_SEED = SeedSpec(0x5EED, 0)
 
@@ -180,69 +176,12 @@ def re_objective_value(X: DesignMatrix, z, S_prime: SupportSet, mode: str = "gam
 
 
 # ---------------------------------------------------------------------------
-# inner convex solver: min 2 b^T v + v^T G v over an l1 ball, batched columns
-# ---------------------------------------------------------------------------
-
-
-def _inner_min(G, B, radii):
-    """FISTA with gradient restarts for min_v 2 b^T v + v^T G v, ||v||_1 <= r.
-
-    B holds one column b per problem; radii one radius per problem.  Columns
-    converged to ``_INNER_TOL`` are frozen and dropped from the working set,
-    so the cost tracks the hard problems only; the solve stops after
-    ``_INNER_CAP`` iterations.  Returns (V, iterations).
-    """
-    q, m = B.shape
-    if q == 0 or m == 0:
-        return np.zeros((q, m)), 0
-    step = _step(G)
-    out = np.zeros((q, m))
-    active = np.arange(m)
-    V, W, Ba, ra = out.copy(), out.copy(), B, radii
-    t = np.ones(m)
-    it = 0
-    while it < _INNER_CAP and active.size:
-        grad = 2.0 * (Ba + G @ W)
-        V_new = project_l1_columns(W - step * grad, ra)
-        dv = V_new - V
-        restart = np.einsum("qm,qm->m", W - V_new, dv) > 0.0
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        mom = (t - 1.0) / t_new
-        if restart.any():
-            mom[restart] = 0.0
-            t_new[restart] = 1.0
-        W = V_new + mom * dv
-        V = V_new
-        t = t_new
-        it += 1
-        if it % 25 == 0 or it >= _INNER_CAP:
-            g = 2.0 * (Ba + G @ V)
-            res = (_col_norms(project_l1_columns(V - step * g, ra) - V)
-                   / (1.0 + _col_norms(V)))
-            keep = ~(res <= _INNER_TOL)  # not converged; a NaN residual counts as such
-            if keep.all():
-                continue
-            out[:, active] = V
-            if not keep.any():
-                return out, it
-            active = active[keep]
-            V, W, t = V[:, keep], W[:, keep], t[keep]
-            Ba, ra = Ba[:, keep], ra[keep]
-    out[:, active] = V
-    return out, it
-
-
-# ---------------------------------------------------------------------------
 # restricted-eigenvalue solvers
 #
 # Every solver works on one Gram matrix G = (1/n) X^T X whose rows and
 # columns are ordered [cone support | rest]: with p = |cone support|, a vector
 # z splits into its cone block z[:p] and its off-support block z[p:].
 # ---------------------------------------------------------------------------
-
-
-def _quad(G, Z):
-    return np.einsum("dm,dm->m", Z, G @ Z)
 
 
 def _col_norms(Z):
@@ -277,7 +216,18 @@ def _feasible(G, Z, p, den, L, sigma):
     return Z, GZ, rho if every else np.where(alive, rho, np.inf)
 
 
-def _descend(G, Z, p, den, L, step0):
+def _residual(G, z, Gz, rho, p, den, L, step0):
+    """The fixed-point residual ||z - P(z - t grad)|| / t of a point z with
+    ||z_den|| = 1, G z = ``Gz`` and rho = z^T G z, for the Rayleigh gradient
+    grad = 2 (G z - rho z_den), t = ``step0`` and P = ``_feasible`` on z's
+    sign pattern.  It vanishes exactly at a stationary point."""
+    grad = 2.0 * Gz
+    grad[den] -= 2.0 * rho * z[den]
+    moved, _, _ = _feasible(G, (z - step0 * grad)[:, None], p, den, L, np.sign(z[:p, None]))
+    return float(np.linalg.norm(moved[:, 0] - z)) / step0
+
+
+def _descend(G, Z, p, den, L, step0, narrow=None):
     """Monotone projected gradient on z^T G z / ||z_den||^2, batched over columns.
 
     Each step follows the Rayleigh gradient 2 (G z - rho z_den) and maps back
@@ -285,19 +235,20 @@ def _descend(G, Z, p, den, L, step0):
     around the current point, so a column stops moving only at a stationary
     point.  A column's step grows by 2% after an accepted step and halves
     after a rejected one, so no column's objective ever rises.  Start
-    columns with a vanishing denominator are dropped.
+    columns with a vanishing denominator are dropped.  With ``narrow`` set,
+    the descent keeps only its ``narrow`` lowest columns from its first
+    residual test on: mode gamma's screen of its start directions.
 
     Every 20 iterations the best column's fixed-point residual
-    ||z - P(z - t grad)|| / t, with t = ``step0`` = 1 / (2 lambda_max(G)) and
-    P = ``_feasible`` on z's sign pattern, is tested against
-    sqrt(u) lambda_max(G), u the unit roundoff, and the descent stops once it
-    passes.  The residual vanishes exactly at a stationary point.  The
-    tolerance is derived, not tuned.  The residual is the length of one
-    projected-gradient step divided by t, and z and its step are unit-scale
-    vectors each rounded to about u, so the residual cannot be resolved
-    below about u / t = 2 u lambda_max(G).  Near a stationary point z* the
-    objective is second order in the residual r: z lies about r / mu from
-    z*, mu the local curvature, and rho within about r^2 / (2 mu) of
+    (``_residual``), with t = ``step0`` = 1 / (2 lambda_max(G)), is tested
+    against sqrt(u) lambda_max(G), u the unit roundoff, and the descent
+    stops once it passes.  The residual vanishes exactly at a stationary
+    point.  The tolerance is derived, not tuned.  The residual is the length
+    of one projected-gradient step divided by t, and z and its step are
+    unit-scale vectors each rounded to about u, so the residual cannot be
+    resolved below about u / t = 2 u lambda_max(G).  Near a stationary point
+    z* the objective is second order in the residual r: z lies about r / mu
+    from z*, mu the local curvature, and rho within about r^2 / (2 mu) of
     rho(z*).  At r = sqrt(u) lambda_max(G), the geometric mean of that
     rounding floor and the scale lambda_max(G), this is u lambda_max(G)
     times lambda_max(G) / (2 mu): the rounding of rho = z^T G z itself
@@ -320,11 +271,7 @@ def _descend(G, Z, p, den, L, step0):
         if not rho.size:
             return math.inf
         b = int(np.argmin(rho))
-        z, grad = Z[:, b], 2.0 * GZ[:, b]
-        grad[den] -= 2.0 * rho[b] * z[den]
-        moved, _, _ = _feasible(G, (z - step0 * grad)[:, None], p, den, L,
-                                np.sign(z[:p, None]))
-        return float(np.linalg.norm(moved[:, 0] - z)) / step0
+        return _residual(G, Z[:, b], GZ[:, b], rho[b], p, den, L, step0)
 
     it = 0
     stop = "cap"
@@ -342,34 +289,43 @@ def _descend(G, Z, p, den, L, step0):
             GZ = np.where(accept, GZ1, GZ)
             rho = np.where(accept, rho1, rho)
         it += 1
-        if it % 20 == 0 and best_residual() <= tol:
+        if it % 20:
+            continue
+        if narrow is not None and rho.size > narrow:
+            keep = np.argsort(rho, kind="stable")[:narrow]
+            Z, GZ, rho, eta = Z[:, keep], GZ[:, keep], rho[keep], eta[keep]
+        if best_residual() <= tol:
             stop = "residual"
     return Z, rho, it, best_residual(), stop
 
 
-def _starts(G, p, sp, L, seed, n_starts):
+def _starts(G, p, sp, L, seed, n_starts, cone_block=False):
     """Restart columns for the descent, in the ordered coordinates.
 
     ``sp`` holds the rows of S'.  The deterministic starts are up to 8 axis
     vectors, the uniform and the flattest direction on S', and each of these
     three loaded with one of the two flattest off-support directions at the
     full l1 budget (kernel-like loads that cancel cone mass cheaply).  Then
-    come ``n_starts`` Gaussian ones.
+    come ``n_starts`` Gaussian ones.  With ``cone_block`` the columns hold
+    only their first p rows, and the loaded starts, whose cone blocks repeat
+    those of their bases, are left out; the Gaussian rows are drawn in C
+    order, so they are the first p rows of the full draw.
     """
-    d = G.shape[0]
-    axes = list(np.eye(d)[sp[:8]])
-    uniform = np.zeros(d)
+    rows = p if cone_block else G.shape[0]
+    axes = list(np.eye(rows)[sp[:8]])
+    uniform = np.zeros(rows)
     uniform[sp] = 1.0 / math.sqrt(sp.size)
-    flattest = np.zeros(d)
+    flattest = np.zeros(rows)
     flattest[sp] = np.linalg.eigh(G[np.ix_(sp, sp)])[1][:, 0]
     cols = axes + [uniform, flattest]
-    for w in np.linalg.eigh(G[p:, p:])[1][:, :2].T:
-        for base in (uniform, flattest, axes[0]):
-            z = base.copy()
-            z[p:] = (L * np.abs(base).sum() / np.abs(w).sum()) * w
-            cols.append(z)
+    if not cone_block:
+        for w in np.linalg.eigh(G[p:, p:])[1][:, :2].T:
+            for base in (uniform, flattest, axes[0]):
+                z = base.copy()
+                z[p:] = (L * np.abs(base).sum() / np.abs(w).sum()) * w
+                cols.append(z)
     rng = seeded_stream(seed if seed is not None else DEFAULT_SOLVER_SEED)
-    return np.concatenate([np.stack(cols, axis=1), rng.standard_normal((d, n_starts))],
+    return np.concatenate([np.stack(cols, axis=1), rng.standard_normal((rows, n_starts))],
                           axis=1)
 
 
@@ -496,32 +452,41 @@ def _re_search(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet, mode: str,
     G = (E.T @ E) / X.n_rows
     p = cone.S.size
     sp = np.searchsorted(cone.S.array(), S_prime.array())
-    starts = _starts(G, p, sp, cone.L, seed, n_starts)
-    sweeps = 0
+    narrow = None
     if cone.S.indices == S_prime.indices and mode == "gamma":
-        # unit directions of the cone block, each with its inner minimiser over
-        # the off-support l1 ball to a coarse tolerance; the 8 lowest start
+        # unit directions of the cone block with the off-support block at 0;
+        # the descent keeps the 8 lowest from its first residual test on
         if method == "grid_oracle":
             U = _grid_directions(p)
         else:
-            U = np.unique(starts[:p], axis=1)
+            U = np.unique(_starts(G, p, sp, cone.L, seed, n_starts, cone_block=True), axis=1)
             U /= np.linalg.norm(U, axis=0)
-        V, sweeps = _inner_min(G[p:, p:], G[p:, :p] @ U, cone.L * np.abs(U).sum(axis=0))
-        starts = np.concatenate([U, V])
-        starts = starts[:, np.argsort(_quad(G, starts), kind="stable")[:8]]
-        restarts, den = U.shape[1], slice(None, p)
+        starts = np.concatenate([U, np.zeros((G.shape[0] - p, U.shape[1]))])
+        restarts, den, narrow = U.shape[1], slice(None, p), 8
     else:
+        starts = _starts(G, p, sp, cone.L, seed, n_starts)
         restarts, den = starts.shape[1], sp if mode == "gamma" else slice(None)
-    Z, rho, its, residual, stop = _descend(G, starts, p, den, cone.L, _step(G))
-    report = SolverReport(iterations=sweeps + its, restarts=restarts, residual=residual,
-                          converged=stop == "residual", spread=float(np.ptp(rho)), stop=stop)
+    step0 = _step(G)
+    Z, rho, its, _, stop = _descend(G, starts, p, den, cone.L, step0, narrow)
     best = Z[:, int(np.argmin(rho))]
     face = _face_solve(G, best, p, den, cone.L)
-    dense = np.zeros((2, X.n_cols))
-    dense[:, order] = best if face is None else np.stack([best, face])
-    # the face point replaces the descent's only if its objective is no higher
-    value = [re_objective_value(X, z, S_prime, mode) for z in dense]
-    return dense[1] if value[1] <= value[0] else dense[0], report
+    if face is not None:
+        dense = np.zeros((2, X.n_cols))
+        dense[:, order] = np.stack([best, face])
+        # the face point replaces the descent's only if its objective is no higher
+        if re_objective_value(X, dense[1], S_prime, mode) <= re_objective_value(
+                X, dense[0], S_prime, mode):
+            best = face
+    # the certificate is read at the point returned, scaled to ||z_den|| = 1
+    z = best / np.linalg.norm(best[den])
+    Gz = G @ z
+    residual = _residual(G, z, Gz, float(z @ Gz), p, den, cone.L, step0)
+    report = SolverReport(iterations=its, restarts=restarts, residual=residual,
+                          converged=residual <= _certificate(step0),
+                          spread=float(np.ptp(rho)), stop=stop)
+    witness = np.zeros(X.n_cols)
+    witness[order] = best
+    return witness, report
 
 
 def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
@@ -546,24 +511,22 @@ def re_constant(X: DesignMatrix, cone: ConeSpec, S_prime: SupportSet,
     of the cone around each iterate, and one exact solve on the face of the
     cone that holds its best point (``_face_solve``).  Mode ``gamma`` with
     cone support ``S_prime`` starts the descent from unit directions u of
-    the cone block: it solves the convex inner problem over the off-support
-    l1 ball to a coarse tolerance for each, ranks them by the quadratic
-    form, and descends from the 8 best.  The two methods differ only in the
-    directions: ``multistart`` uses the cone blocks of the restarts
-    (``n_starts`` Gaussian ones and a few deterministic ones),
+    the cone block, with the off-support block at 0, and keeps the 8 lowest
+    of them after its first 20 iterations.  The two methods differ only in
+    the directions: ``multistart`` uses the distinct cone blocks of the
+    restarts (``n_starts`` Gaussian ones and a few deterministic ones),
     ``grid_oracle`` a 2 degree angular grid, which limits it to this mode
     and at most 3 certified coordinates, and it never takes the closed form,
     so that it stays an independent oracle.  Every other case, mode
-    ``gamma_prime`` included, descends from the restarts themselves.
+    ``gamma_prime`` included, descends from all of the restarts themselves.
 
     The report's ``stop`` names the rule that ended the descent
-    (``residual`` or ``cap``), and ``converged`` means that its residual
-    test passed.  ``residual`` is the best column's fixed-point residual
-    where the descent stopped, in every mode.  ``iterations`` counts the
-    descent's iterations and, in mode ``gamma`` on its own cone, the sweeps
-    of the batched inner solve.  ``restarts`` counts the starting points,
-    and ``spread`` is the range of the descent's end values over its
-    columns.
+    (``residual`` or ``cap``).  ``residual`` is the fixed-point residual of
+    the returned witness, the face point or the descent's best, in every
+    mode, and ``converged`` means that it passes the descent's residual
+    test.  ``iterations`` counts the descent's iterations.  ``restarts``
+    counts the starting points, and ``spread`` is the range of the
+    descent's end values over the columns it kept.
     """
     if mode not in ("gamma", "gamma_prime"):
         raise ValueError(f"unknown mode {mode!r}")

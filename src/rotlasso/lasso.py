@@ -43,6 +43,7 @@ LASSO_MAX_ITER = 10_000
 # norm, and one at 1e-6 reads it to 10 digits.  Each join at a relative
 # distance rho multiplies cond(X_A) by up to about 1 / rho.
 _SPAN_TOL = 1e-12
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +169,18 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     - an active coordinate reaches 0, and it leaves;
     - ||beta||_1 reaches the radius ("sphere");
     - lam reaches 0 with the ball not binding ("interior"), where beta is
-      least squares on A.
+      least squares on A;
+    - the residual falls to the rounding of a computed residual, and the
+      walk stops there ("interior"), unless the segment ended on the
+      sphere.  Computed in floating point, each entry of y - X_A beta_A is
+      an inner product of length |A| + 1, so its error is at most
+      gamma_{|A|+1} (|y| + |X_A| |beta_A|), with gamma_m = m u / (1 - m u)
+      and u = eps / 2 the unit roundoff (Higham 2002, section 3.1).  Once
+      ||r|| <= (|A| + 1) u (||y|| + sum_A |beta_j| ||x_j||), that bound's
+      norm to first order in u, r cannot be told from 0: beta fits y
+      exactly to rounding.  Past it, lam and c are rounding noise, and the
+      walk would only wander on through columns joining and leaving at
+      tiny steps.
     Three rules keep the walk exact on degenerate designs.  Each active sign
     stays as it was when its column joined, and lam is recomputed as the
     mean of s c_A after every step: near lam = 0, c_A is rounding noise and
@@ -200,7 +212,8 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     bounded, with no step constant, by the duality gap below and, as the
     optimum is at least 0, by the objective itself, which is the tighter
     bound on near-exact fits with a large radius.  The objective trace holds
-    the objective at every breakpoint and at beta_hat; it does not rise.
+    the objective at every breakpoint and at beta_hat; it does not rise but
+    for the rounding of the closing step's fresh residual.
 
     ``duality_gap`` is the Frank-Wolfe gap g^T beta_hat + radius ||g||_inf of
     the objective f(b) = ||y - X b||^2 at beta_hat, g = grad f(beta_hat):
@@ -218,6 +231,7 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
     lam = float(np.abs(c).max())
     trace = [float(y @ y)]
     norms = np.einsum("ij,ij->j", X, X)  # squared column norms
+    y_norm, col_norms = math.sqrt(trace[0]), np.sqrt(norms)
     # the first k entries hold the active columns in join order, their signs
     # and their coefficients; closed marks the active and the refused columns
     size = min(n, d)
@@ -265,6 +279,10 @@ def lasso_constrained(instance: RegressionInstance, radius: float) -> LassoSolut
         c -= t * a
         it += 1
         trace.append(float(r @ r))
+        # r within the rounding of a computed y - X_A beta_A: beta fits y exactly
+        noise = (k + 1) * _UNIT_ROUNDOFF * (y_norm + float(np.abs(bA) @ col_norms[A]))
+        if event != "sphere" and trace[-1] <= noise * noise:
+            event = "interior"
         if event == "drop":
             k -= 1
             cols[i:k], signs[i:k], coefs[i:k] = A[i + 1:], sA[i + 1:], bA[i + 1:]

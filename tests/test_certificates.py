@@ -136,20 +136,15 @@ class TestReConstant:
             assert abs(ms.value - go.value) <= 1e-3 * max(go.value, 1e-12)
 
     def test_gamma_iterations_count_the_tight_descent(self, monkeypatch):
-        counted = {"inner": 0, "descent": 0}
-        inner, descend = certificates._inner_min, certificates._descend
-
-        def inner_spy(*args, **kwargs):
-            out = inner(*args, **kwargs)
-            counted["inner"] += out[1]
-            return out
+        counted = {"descents": 0, "descent": 0}
+        descend = certificates._descend
 
         def descend_spy(*args, **kwargs):
             out = descend(*args, **kwargs)
+            counted["descents"] += 1
             counted["descent"] += out[2]
             return out
 
-        monkeypatch.setattr(certificates, "_inner_min", inner_spy)
         monkeypatch.setattr(certificates, "_descend", descend_spy)
         # an instance whose free minimiser leaves the cone, so the search runs
         X = gaussian_design(23, 8, seed=501)
@@ -157,8 +152,27 @@ class TestReConstant:
         cert = re_constant(X, ConeSpec(S), S, mode="gamma")
         report = cert.solver_report
         assert cert.method == "multistart"
-        assert counted["descent"] > 0
-        assert report.iterations == counted["inner"] + counted["descent"]
+        assert counted["descents"] == 1 and counted["descent"] > 0
+        assert report.iterations == counted["descent"]
+
+    def test_gamma_starts_are_the_restarts_directions(self, monkeypatch):
+        # mode gamma on its own cone descends from the distinct cone blocks of
+        # the restarts, normalised, with the off-support block at 0
+        seen = []
+        descend = certificates._descend
+
+        def descend_spy(G, Z, *args):
+            seen.append((G, Z.copy()))
+            return descend(G, Z, *args)
+
+        monkeypatch.setattr(certificates, "_descend", descend_spy)
+        X = gaussian_design(12, 10, seed=7)
+        S = SupportSet(10, (1, 4, 6))
+        certificates._re_search(X, ConeSpec(S), S, "gamma", "multistart", SeedSpec(3), 20)
+        [(G, Z)] = seen
+        U = np.unique(certificates._starts(G, 3, np.arange(3), 1.0, SeedSpec(3), 20)[:3], axis=1)
+        U /= np.linalg.norm(U, axis=0)
+        assert np.array_equal(Z[:3], U) and not Z[3:].any()
 
     def test_value_equals_objective_at_witness(self):
         X = gaussian_design(12, 7, seed=9)
@@ -389,6 +403,21 @@ class TestDescentStop:
         if mode == "gamma_prime":
             assert sum(r.iterations >= _DESCENT_CAP for r in reports) == 0
         assert all(r.converged and r.stop == "residual" for r in reports)
+
+    def test_a_capped_descent_is_read_at_its_face_point(self):
+        # groups 8, rho 0.05, seed 0: mode gamma's descent reaches its cap
+        # short of its certificate, and the face solve finishes it.  The
+        # report's residual and ``converged`` are those of the point returned;
+        # ``stop`` still names the rule that ended the descent.
+        S = SupportSet(64, (0, 1, 2))
+        X = correlated_block_design(200, 64, S, 8, 0.05, SeedSpec(0))
+        G = X.entries.T @ X.entries / X.n_rows
+        tol = math.sqrt(np.finfo(float).eps / 2) * float(np.linalg.eigvalsh(G)[-1])
+        cert = re_constant(X, ConeSpec(S), S, mode="gamma")
+        report = cert.solver_report
+        assert cert.method == "multistart" and report.stop == "cap"
+        assert report.iterations == _DESCENT_CAP
+        assert report.converged and report.residual <= tol
 
     def test_creeping_restart_does_not_hold_the_batch(self):
         X, S = list(_criterion_2_instances())[79]

@@ -470,6 +470,20 @@ class TestLassoConstrained:
             assert sol.duality_gap > 1e-8 * yy and sol.objective <= 1e-14 * yy
             assert sol.stop == "interior" and sol.converged
 
+    def test_an_exact_fit_stops_at_rounding(self):
+        # y = x_1 - x_0 with the off-support groups within about 1e-5 of the
+        # support columns: the walk fits y to 2.4e-32 ||y||^2 after 2
+        # segments.  Past that point lam is rounding noise: without the stop
+        # the walk goes on for 151 iterations of tiny joins and drops, to
+        # 1e-18 ||y||^2, and its trace rises.
+        X = correlated_block_design(50, 64, SupportSet(64, (0, 1)), 8, 1e-5, SeedSpec(2))
+        y = X.entries[:, 1] - X.entries[:, 0]
+        sol = lasso_constrained(RegressionInstance(X, y), 6.0)
+        assert sol.stop == "interior" and sol.converged and sol.iterations <= 3
+        trace = sol.objective_trace / float(y @ y)
+        fit = np.flatnonzero(trace <= 1e-30)
+        assert fit.size and np.all(trace[fit[0]:] <= 1e-30)
+
     def test_an_inexact_end_is_not_converged(self):
         # at rho = 1e-7 the group members lie within 1e-6 of one another, so
         # within _SPAN_TOL of the span of an active member, and never join.
